@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race verify bench bench-analytics soak soak-recover fuzz trace-demo loadtest bench-recover clean
+.PHONY: all build test race verify bench bench-obs bench-analytics soak soak-recover fuzz trace-demo loadtest bench-recover clean
 
 all: build
 
@@ -61,7 +61,7 @@ bench-analytics:
 
 # End-to-end serving SLO measurement: boot lsgraphd, drive it with the
 # open-loop lsload harness (seeded Poisson arrivals, T1/T4/T5 workload
-# mixes), and write p50/p90/p99 + throughput to BENCH_pr8.json. Tune with
+# mixes), and write p50/p90/p99 + throughput to BENCH_pr9.json. Tune with
 # LOADTEST_TIME / LOADTEST_RATE / LOADTEST_MIX, e.g.
 # `make loadtest LOADTEST_TIME=30s LOADTEST_RATE=1000`.
 export LOADTEST_TIME LOADTEST_RATE LOADTEST_MIX LOADTEST_SHARDS LOADTEST_ADDR

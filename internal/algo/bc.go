@@ -49,7 +49,7 @@ func BC(g engine.Graph, src uint32, p int) []float64 {
 						if atomic.CompareAndSwapInt32(&depth[u], NoParent, lv) {
 							next[u] = true
 						}
-						if depth[u] == lv {
+						if atomic.LoadInt32(&depth[u]) == lv {
 							atomic.AddUint64(&sigma[u], s)
 						}
 					}
@@ -69,7 +69,7 @@ func BC(g engine.Graph, src uint32, p int) []float64 {
 					if atomic.CompareAndSwapInt32(&depth[u], NoParent, level) {
 						next[u] = true
 					}
-					if depth[u] == level {
+					if atomic.LoadInt32(&depth[u]) == level {
 						atomic.AddUint64(&sigma[u], sv)
 					}
 				})

@@ -427,7 +427,12 @@ func (s *Server) handleKernel(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, "bad src: %v", err)
 			return
 		}
-		levels := lsgraph.BFSLevels(v, src)
+		// A src beyond the view's vertex space (not yet referenced by any
+		// enqueued edge) reaches nothing, as in khop.
+		var levels []int32
+		if src < v.NumVertices() {
+			levels = lsgraph.BFSLevels(v, src)
+		}
 		reached, maxDepth := 0, int32(-1)
 		for _, l := range levels {
 			if l >= 0 {

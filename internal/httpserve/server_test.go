@@ -501,6 +501,21 @@ func TestKernelEndpoints(t *testing.T) {
 	if bfs.Reached != 4 || bfs.MaxDepth != 3 {
 		t.Fatalf("bfs: reached=%d max_depth=%d, want 4/3", bfs.Reached, bfs.MaxDepth)
 	}
+	// A source beyond the vertex space reaches nothing rather than
+	// failing the request.
+	resp, err = client.Post(ts.URL+"/v1/graphs/path/kernels/bfs?src=1000", "", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bfs.Reached, bfs.MaxDepth = -1, 0
+	if err := json.NewDecoder(resp.Body).Decode(&bfs); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || bfs.Reached != 0 || bfs.MaxDepth != -1 {
+		t.Fatalf("bfs from unknown src: status %d reached=%d max_depth=%d, want 200 0/-1",
+			resp.StatusCode, bfs.Reached, bfs.MaxDepth)
+	}
 
 	var cc struct {
 		Components int `json:"components"`

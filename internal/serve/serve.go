@@ -11,25 +11,29 @@
 // queue, so the engine's per-vertex exclusivity contract holds by
 // construction — a vertex lives in exactly one shard, and one goroutine
 // owns each shard. Under backpressure a queue degrades gracefully by
-// merging same-op batches instead of blocking callers. After every applied
-// batch a shard writer flattens its own shard into an immutable local
+// merging same-op batches instead of blocking callers. A shard writer
+// drains its whole queue at once, applies every batch in the drained
+// slice, and only then flattens its own shard into an immutable local
 // core.Snapshot (reusing a reclaimed snapshot's buffers when capacity
-// allows) and publishes it with one atomic pointer swap. Readers compose a
-// view by pinning every shard's current snapshot with the epoch-refcount
-// protocol — two atomic adds per shard — run any analytics kernel on the
-// composed view, and release; a retired snapshot's buffers are recycled
-// only once its epoch has drained. Aspen gets this concurrency from purely
-// functional trees and LSMGraph from per-range versioned multi-level CSRs;
-// the Store gets it from epoch-pinned CSR snapshots over the
-// locality-centric live shards.
+// allows) and publishes it with one atomic pointer swap: one publish per
+// drained queue slice, with Flush and rebalance entries as extra publish
+// points, so the flatten cost is paid per group of batches rather than
+// per batch. Readers compose a view by pinning every shard's current
+// snapshot with the epoch-refcount protocol — two atomic adds per shard —
+// run any analytics kernel on the composed view, and release; a retired
+// snapshot's buffers are recycled only once its epoch has drained. Aspen
+// gets this concurrency from purely functional trees and LSMGraph from
+// per-range versioned multi-level CSRs; the Store gets it from
+// epoch-pinned CSR snapshots over the locality-centric live shards.
 //
 // Consistency model: each pinned shard snapshot is an exact prefix of that
-// shard's applied batch sequence, and enqueue order is preserved per
-// shard, so a composed view is "per-shard consistent": all edges of one
-// source vertex always appear atomically, inserts/deletes of the same
-// edge are never reordered, and the view's epoch (the sum of shard
-// epochs) is monotone across acquires. What the composed view does not
-// promise is a single global cut across shards — two edges routed to
+// shard's applied batch sequence (a group publish exposes several batches
+// at once, never part of one or out of order), and enqueue order is
+// preserved per shard, so a composed view is "per-shard consistent": all
+// edges of one source vertex always appear atomically, inserts/deletes of
+// the same edge are never reordered, and the view's epoch (the sum of
+// shard epochs) is monotone across acquires. What the composed view does
+// not promise is a single global cut across shards — two edges routed to
 // different shards may become visible in either order, the price of
 // parallel ingest. With Shards=1 the old single-writer semantics hold
 // bit for bit.
@@ -174,8 +178,8 @@ var testHookBeforeApply func()
 
 // shardWriter is one shard's update pipeline: a bounded queue drained by
 // one goroutine that applies batches to its core.Shard and republishes the
-// shard's snapshot after each. All mutable state except the queue is owned
-// by the writer goroutine.
+// shard's snapshot once per drained group of batches (see run). All
+// mutable state except the queue is owned by the writer goroutine.
 type shardWriter struct {
 	s     *Store
 	shard core.Shard
@@ -593,9 +597,14 @@ func (s *Store) Close() {
 }
 
 // run is a shard writer's goroutine: it applies this shard's updates and
-// publishes its snapshots. It drains the whole queue each cycle, applying
-// each entry as one engine batch and republishing after each, so readers
-// observe every applied batch as its own shard epoch.
+// publishes its snapshots. Each cycle it drains the whole queue, applies
+// every update entry of the drained slice back to back, and publishes
+// once — a group publish, like the WAL's group-commit fsync. Flush and
+// rebalance entries are publish points: whatever is applied but not yet
+// published is published before the sentinel closes or the rendezvous
+// starts. Readers therefore observe one new shard epoch per drained group
+// of batches, and the group size is whatever the queue held when the
+// writer woke (a lone batch under light load publishes alone).
 func (w *shardWriter) run() {
 	defer close(w.done)
 	for {
@@ -619,64 +628,91 @@ func (w *shardWriter) run() {
 			<-w.wake
 			continue
 		}
+		first := 0 // q[first:i] are applied but not yet published
 		for i := range q {
 			b := &q[i]
+			if b.op == opInsert || b.op == opDelete {
+				w.apply(b)
+				continue
+			}
+			// A flush or rebalance entry is a publish point.
+			w.publishGroup(q[first:i])
+			first = i + 1
 			if b.op == opFlush {
 				close(b.done)
 				continue
 			}
-			if b.op == opRebalance {
-				// Rendezvous: the second of the two affected writers to reach
-				// its control entry executes the splice while the first waits
-				// parked. Only these two writers stop; every other shard's
-				// writer and every reader keeps running.
-				if b.reb.arrived.Add(1) == 2 {
-					w.s.executeRebalance(b.reb)
-					close(b.reb.done)
-				} else {
-					<-b.reb.done
-				}
-				continue
-			}
-			if testHookBeforeApply != nil {
-				testHookBeforeApply()
-			}
-			if b.bound > 0 {
-				w.shard.EnsureVertices(b.bound)
-			}
-			w.shard.BeginTrace(b.batch)
-			if b.op == opInsert {
-				w.shard.InsertBatch(b.src, b.dst)
+			// Rendezvous: the second of the two affected writers to reach
+			// its control entry executes the splice while the first waits
+			// parked. Only these two writers stop; every other shard's
+			// writer and every reader keeps running.
+			if b.reb.arrived.Add(1) == 2 {
+				w.s.executeRebalance(b.reb)
+				close(b.reb.done)
 			} else {
-				w.shard.DeleteBatch(b.src, b.dst)
+				<-b.reb.done
 			}
-			w.s.stats.batchesApplied.Add(1)
-			if obs.Enabled() {
-				obsApplied.Inc()
-				obsShardApplied.AddShard(w.idx, 1)
-			}
-			if b.lsn > w.appliedLSN {
-				w.appliedLSN = b.lsn
-			}
-			w.publish(b.batch)
-			if b.enq != 0 {
-				// The batch is now reader-visible: close the end-to-end
-				// enqueue-to-publish measurement and feed the tail estimator.
-				lag := trace.Now() - b.enq
-				if obs.Enabled() {
-					obsVisibilityLag.Observe(uint64(lag))
-				}
-				trace.BatchEnd(b.batch, lag)
-			}
-			q[i] = pending{} // release the scattered batch for GC
 		}
+		w.publishGroup(q[first:])
+	}
+}
+
+// apply applies one queued update batch to the writer's shard without
+// publishing it. Writer goroutine only.
+func (w *shardWriter) apply(b *pending) {
+	if testHookBeforeApply != nil {
+		testHookBeforeApply()
+	}
+	if b.bound > 0 {
+		w.shard.EnsureVertices(b.bound)
+	}
+	w.shard.BeginTrace(b.batch)
+	if b.op == opInsert {
+		w.shard.InsertBatch(b.src, b.dst)
+	} else {
+		w.shard.DeleteBatch(b.src, b.dst)
+	}
+	w.s.stats.batchesApplied.Add(1)
+	if obs.Enabled() {
+		obsApplied.Inc()
+		obsShardApplied.AddShard(w.idx, 1)
+	}
+	if b.lsn > w.appliedLSN {
+		w.appliedLSN = b.lsn
+	}
+}
+
+// publishGroup publishes the applied batches g as one new shard epoch,
+// closes each batch's enqueue-to-publish visibility-lag measurement, and
+// releases the scattered batches for GC. An empty group publishes
+// nothing. Writer goroutine only.
+func (w *shardWriter) publishGroup(g []pending) {
+	if len(g) == 0 {
+		return
+	}
+	// The oldest batch has waited longest, so it is the one a slow publish
+	// delays most; the publish span is attributed to it.
+	w.publish(g[0].batch)
+	var now int64
+	for i := range g {
+		if b := &g[i]; b.enq != 0 {
+			if now == 0 {
+				now = trace.Now()
+			}
+			lag := now - b.enq
+			if obs.Enabled() {
+				obsVisibilityLag.Observe(uint64(lag))
+			}
+			trace.BatchEnd(b.batch, lag)
+		}
+		g[i] = pending{}
 	}
 }
 
 // publish flattens the writer's shard into a local snapshot (reusing a
 // drained snapshot's buffers when available), swaps it in as the shard's
 // new epoch, and retires the previous one. batch is the flight-recorder
-// attribution of the update that triggered the republish (0 from New).
+// attribution of the oldest update in the published group (0 from New).
 // Writer goroutine only (and New, before the writer starts).
 func (w *shardWriter) publish(batch uint64) {
 	t := obs.StartTimer()
@@ -845,9 +881,10 @@ func (s *Store) View() *View {
 }
 
 // Epoch returns the sum of the shard epochs this view pinned: 0 for the
-// Store's initial state, incremented by one per applied batch anywhere in
-// the store. Monotone across successively acquired views. Valid after
-// Release.
+// Store's initial state, incremented by one per shard publish anywhere in
+// the store (one per drained group of batches, plus one per shard touched
+// by a boundary move). Monotone across successively acquired views. Valid
+// after Release.
 func (v *View) Epoch() uint64 { return v.epoch }
 
 // NumVertices returns the view's vertex count: the logical vertex-space
@@ -961,8 +998,8 @@ func (v *View) Release() {
 	}
 }
 
-// Epoch returns the Store's current epoch: the total number of batches
-// applied and published across all shards since construction.
+// Epoch returns the Store's current epoch: the total number of shard
+// publishes across all shards since construction (see View.Epoch).
 func (s *Store) Epoch() uint64 {
 	var e uint64
 	for _, w := range s.ws {
@@ -1098,7 +1135,10 @@ type Stats struct {
 	// batch under backpressure.
 	CoalescedBatches uint64
 	// SnapshotsPublished counts published shard epochs (including each
-	// shard's epoch 0).
+	// shard's epoch 0). A writer publishes once per drained queue slice and
+	// at each Flush or rebalance entry in it, not once per batch, so
+	// BatchesApplied / SnapshotsPublished approximates the mean publish
+	// group size.
 	SnapshotsPublished uint64
 	// SnapshotsReclaimed counts retired snapshots whose epoch drained and
 	// whose buffers were recycled or dropped.

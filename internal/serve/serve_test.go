@@ -2,8 +2,10 @@ package serve
 
 import (
 	"testing"
+	"time"
 
 	"lsgraph/internal/core"
+	"lsgraph/internal/obs"
 )
 
 // pairBatch returns the symmetric edge pair {(a,b),(b,a)} in columnar form.
@@ -127,6 +129,98 @@ func TestStoreCoalescing(t *testing.T) {
 		t.Fatalf("applied=%d, expected < %d after merging", stats.BatchesApplied, 3+extra)
 	}
 	st.Close()
+}
+
+// TestStoreGroupPublish parks the writer on a first batch while k more
+// batches and a Flush queue up behind it, then releases: the writer must
+// apply the whole drained group and publish it as one snapshot, and the
+// Flush must return only once every batch of the group is visible.
+func TestStoreGroupPublish(t *testing.T) {
+	const k = 5
+	prev := obs.Enabled()
+	obs.SetEnabled(true) // enqueue timestamps feed the visibility-lag histogram
+	defer obs.SetEnabled(prev)
+
+	// The hook parks the writer on its first apply (batch 0, drained
+	// alone) and again on its second (the group's first batch, reached
+	// only after batch 0's own publish). calls is writer-goroutine only.
+	hold0, hold1 := make(chan struct{}), make(chan struct{})
+	entered := make(chan struct{}, k+1)
+	calls := 0
+	testHookBeforeApply = func() {
+		calls++
+		entered <- struct{}{}
+		switch calls {
+		case 1:
+			<-hold0
+		case 2:
+			<-hold1
+		}
+	}
+	defer func() { testHookBeforeApply = nil }()
+
+	st := New(core.New(64, core.Config{}), Options{})
+	defer st.Close()
+	release := func(c chan struct{}) {
+		select {
+		case <-c:
+		default:
+			close(c)
+		}
+	}
+	defer release(hold1)
+	defer release(hold0)
+
+	st.InsertBatch(pairBatch(0, 1))
+	<-entered
+	for i := uint32(1); i <= k; i++ {
+		st.InsertBatch(pairBatch(2*i, 2*i+1))
+	}
+	flushed := make(chan struct{})
+	go func() {
+		st.Flush()
+		close(flushed)
+	}()
+	// Wait for the Flush sentinel to queue behind the k batches, so the
+	// writer drains all k+1 entries as one slice.
+	for st.QueueDepth() < k+1 {
+		time.Sleep(time.Millisecond)
+	}
+	release(hold0)
+	<-entered // batch 0 is published; the writer holds the drained group
+	base := st.Stats()
+	baseLag := obsVisibilityLag.Count()
+	select {
+	case <-flushed:
+		t.Fatal("Flush returned before its group was applied")
+	default:
+	}
+	release(hold1)
+	<-flushed
+
+	v := st.View()
+	defer v.Release()
+	if want := uint64(2 * (k + 1)); v.NumEdges() != want {
+		t.Fatalf("after Flush m=%d, want %d", v.NumEdges(), want)
+	}
+	for u := uint32(0); u < 2*(k+1); u++ {
+		if v.Degree(u) != 1 {
+			t.Fatalf("after Flush deg(%d)=%d, want 1", u, v.Degree(u))
+		}
+	}
+	if v.Epoch() != 2 { // batch 0's publish, then the group's
+		t.Fatalf("epoch=%d, want 2", v.Epoch())
+	}
+	got := st.Stats()
+	if d := got.BatchesApplied - base.BatchesApplied; d != k {
+		t.Fatalf("group applied %d batches, want %d", d, k)
+	}
+	if d := got.SnapshotsPublished - base.SnapshotsPublished; d != 1 {
+		t.Fatalf("group of %d batches published %d snapshots, want 1", k, d)
+	}
+	if d := obsVisibilityLag.Count() - baseLag; d != k {
+		t.Fatalf("visibility lag observed %d times for the group, want %d", d, k)
+	}
 }
 
 func TestStoreSnapshotReclaimAndReuse(t *testing.T) {

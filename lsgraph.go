@@ -255,8 +255,8 @@ func (g *Graph) DeleteVertex(v uint32) { g.g.DeleteVertex(v) }
 // returned view is then fully independent: analytics may run on it
 // concurrently with further updates to g, and it satisfies Reader, so it
 // can be handed to any kernel in this package. (A Store does exactly this
-// after every applied batch, with buffer reuse, to serve readers while
-// ingesting.)
+// per shard after every drained group of batches, with buffer reuse, to
+// serve readers while ingesting.)
 func (g *Graph) Snapshot() *core.Snapshot { return g.g.Snapshot() }
 
 // MemoryUsage returns the engine's estimated resident bytes: the vertex

@@ -1,6 +1,7 @@
 package lsgraph
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"lsgraph/internal/gen"
@@ -104,15 +105,11 @@ func TestEdgeMapBFS(t *testing.T) {
 		level++
 		lv := level
 		frontier = EdgeMap(g, frontier,
-			func(u uint32) bool { return depth[u] == -1 },
+			func(u uint32) bool { return atomic.LoadInt32(&depth[u]) == -1 },
 			func(v, u uint32) bool {
-				// CAS-free is fine: duplicates collapse in EdgeMap and any
-				// writer writes the same level value.
-				if depth[u] == -1 {
-					depth[u] = lv
-					return true
-				}
-				return false
+				// update runs concurrently, so it must be atomic (EdgeMap's
+				// contract): one CAS claims u for this level.
+				return atomic.CompareAndSwapInt32(&depth[u], -1, lv)
 			})
 	}
 	want := BFSLevels(g, 0)

@@ -92,8 +92,10 @@ func (s *Store) View() *StoreView {
 	return &StoreView{v: s.st.View()}
 }
 
-// Epoch returns the store's current epoch: the total number of update
-// batches applied and published across all shards since construction.
+// Epoch returns the store's current epoch: the total number of shard
+// snapshot publishes since construction. Each shard writer publishes once
+// per drained queue slice (and at every Flush or rebalance point), so one
+// epoch step can expose several update batches.
 func (s *Store) Epoch() uint64 { return s.st.Epoch() }
 
 // Shards returns the number of shard writer pipelines (1 unless the
@@ -187,7 +189,9 @@ type StoreView struct {
 }
 
 // Epoch returns the epoch this view pinned: 0 for the store's initial
-// empty graph, incremented by one per applied batch. Valid after Release.
+// empty graph, incremented by one per shard publish — one per drained
+// group of batches, with Flush and rebalance entries as publish points.
+// Valid after Release.
 func (v *StoreView) Epoch() uint64 { return v.v.Epoch() }
 
 // Release unpins the view, allowing its snapshot's buffers to be
