@@ -458,6 +458,7 @@ func (g *Graph) insertBatchShard(sh *shardState, src, dst []uint32, p int) {
 		}
 	})
 	sh.m.Add(added.Load())
+	sh.markDirty(groups)
 	obsPhaseApply.ObserveSince(tApply)
 	trace.Span(trace.PhaseApply, int(sh.idx), sh.traceBatch, 0, uint64(len(src)), trApply)
 	if on {
@@ -554,6 +555,7 @@ func (g *Graph) deleteBatchShard(sh *shardState, src, dst []uint32, p int) {
 		}
 	})
 	sh.subEdges(removed.Load())
+	sh.markDirty(groups)
 	obsPhaseApply.ObserveSince(tApply)
 	trace.Span(trace.PhaseApply, int(sh.idx), sh.traceBatch, 0, uint64(len(src)), trApply)
 	if on {

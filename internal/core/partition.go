@@ -184,6 +184,10 @@ func (g *Graph) MoveBoundary(k int, newStart uint32) (movedVerts uint32, movedEd
 		b.m.Add(^movedEdges + 1)
 		a.m.Add(movedEdges)
 	}
+	// The splice renumbers slots, so neither shard's previous snapshot
+	// lines up with its storage anymore: the next publish of each is a
+	// full pass.
+	a.last, b.last = nil, nil
 	g.pmap.Store(next)
 	return movedVerts, movedEdges, nil
 }

@@ -21,6 +21,15 @@ type shardState struct {
 	prep  prepScratch
 	apply []applyScratch
 
+	// last is the shard's most recent snapshot and dirty a bitmap (bit i
+	// for slot i, covering last's slots) of the vertices whose adjacency
+	// changed since it was taken: the copy source and change set that make
+	// the next publish incremental (see snapshotShardInto). The update
+	// pipeline marks each batch's source vertices after its apply loop;
+	// MoveBoundary drops last, since the splice renumbers slots.
+	last  *Snapshot
+	dirty []uint64
+
 	// traceBatch is the flight-recorder batch ID the shard's current update
 	// is attributed to (see internal/trace). It is owned by whichever
 	// goroutine owns the shard's update pipeline — the serve shard writer
@@ -37,6 +46,17 @@ func (sh *shardState) ensure(n int) {
 	nv := make([]vertex, n)
 	copy(nv, sh.verts)
 	sh.verts = nv
+}
+
+// markDirty records that the groups' source vertices changed since the
+// shard's last snapshot. Slots beyond the bitmap lie past last's vertex
+// count and are re-materialized by the next snapshot regardless.
+func (sh *shardState) markDirty(groups []group) {
+	for _, gr := range groups {
+		if i := gr.v - sh.base; int(i>>6) < len(sh.dirty) {
+			sh.dirty[i>>6] |= 1 << (i & 63)
+		}
+	}
 }
 
 // subEdges subtracts removed from the shard's edge counter (two's-
@@ -126,6 +146,11 @@ func (s Shard) DeleteBatch(src, dst []uint32) {
 // SnapshotInto flattens the shard into a local CSR view — offsets indexed
 // by local slot, adjacency holding global IDs — reusing snap's buffers
 // when capacity allows (see Graph.SnapshotInto for the reuse contract).
+// The cost tracks what changed rather than the shard's size: runs of
+// vertices unchanged since the shard's previous snapshot are copied from
+// it, and only the vertices updated since are re-materialized from their
+// vertex blocks. The first call, the first after a MoveBoundary splice,
+// and a call whose snap is the previous snapshot itself make a full pass.
 // The call must be serialized with this shard's updates only; other
 // shards may keep updating concurrently.
 func (s Shard) SnapshotInto(snap *Snapshot) *Snapshot {

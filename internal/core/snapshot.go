@@ -1,22 +1,34 @@
 package core
 
-import "lsgraph/internal/parallel"
+import (
+	"math/bits"
+
+	"lsgraph/internal/parallel"
+)
 
 // Snapshot is an immutable CSR view of the graph at the moment it was
 // taken. It implements the read side of engine.Graph, so analytics can run
 // on a frozen snapshot while the live graph keeps ingesting updates — the
-// capability Aspen gets from functional trees, obtained here by one
-// parallel flattening pass (which is cheap: Table 2 measures the same pass
-// as TC's "Traversal" column at 0.6%-19% of one kernel).
+// capability Aspen gets from functional trees, obtained here by flattening
+// into a CSR (cheap: Table 2 measures a full flattening pass as TC's
+// "Traversal" column at 0.6%-19% of one kernel). A shard publish
+// (Shard.SnapshotInto) need not even pay the full pass: it copies the runs
+// of vertices unchanged since the shard's previous snapshot from that
+// snapshot and re-materializes only the vertices updated since.
 type Snapshot struct {
 	offs []uint64
 	adj  []uint32
+	// src is the shard whose publish last wrote this snapshot (nil for a
+	// whole-graph or composed snapshot). A shard trusts its previous
+	// snapshot as a copy source only while src still names it, so a buffer
+	// rewritten elsewhere can never feed stale runs into a publish.
+	src *shardState
 }
 
 // Snapshot flattens the current graph into a fresh CSR view. The call
 // itself must be serialized with updates — take it between batches, or let
 // internal/serve's writer pipeline do that for you (its shard writers
-// republish after every applied batch, which is how concurrent
+// republish once per drained queue slice, which is how concurrent
 // ingest+analytics is obtained). The returned view is immutable and may be
 // read concurrently with anything, including further updates to g.
 func (g *Graph) Snapshot() *Snapshot { return g.SnapshotInto(nil) }
@@ -30,11 +42,17 @@ func (s *Snapshot) ensureOffs(n int) {
 	}
 }
 
-// ensureAdj sizes s.adj to m, reusing capacity.
+// ensureAdj sizes s.adj to m, reusing capacity. An outgrown recycled
+// buffer is reallocated with m/8 headroom, so a growing shard's recycled
+// snapshots keep fitting for many publishes instead of paying a fresh,
+// zeroed allocation on each; a first allocation is exact.
 func (s *Snapshot) ensureAdj(m uint64) {
-	if uint64(cap(s.adj)) >= m {
+	switch {
+	case uint64(cap(s.adj)) >= m:
 		s.adj = s.adj[:m]
-	} else {
+	case cap(s.adj) > 0:
+		s.adj = make([]uint32, m, m+m/8)
+	default:
 		s.adj = make([]uint32, m)
 	}
 }
@@ -54,6 +72,7 @@ func (g *Graph) SnapshotInto(s *Snapshot) *Snapshot {
 	if s == nil {
 		s = &Snapshot{}
 	}
+	s.src = nil
 	n := int(g.NumVertices())
 	s.ensureOffs(n)
 	s.offs[0] = 0
@@ -77,21 +96,79 @@ func (g *Graph) SnapshotInto(s *Snapshot) *Snapshot {
 // snapshotShardInto flattens one shard into a local CSR — offsets indexed
 // by slot within the shard, adjacency holding global vertex IDs — with the
 // same buffer-reuse contract as SnapshotInto.
+//
+// The pass is incremental against the shard's previous snapshot prev: a
+// slot below prev's vertex count whose dirty bit is clear is unchanged
+// since prev, and every maximal run of such clean slots occupies one
+// contiguous, equally long segment in both CSRs, so its offsets are
+// prev's shifted by one delta and its adjacency is copied from prev.adj
+// with one copy. Every other slot is re-materialized from its vertex
+// block. With no usable prev — the first publish, after a
+// MoveBoundary renumbered the slots, when s is prev itself, or when prev's
+// buffers were since rewritten by anyone else — every slot counts as
+// dirty and the same loop is a full flatten.
 func (g *Graph) snapshotShardInto(sh *shardState, s *Snapshot, p int) *Snapshot {
 	if s == nil {
 		s = &Snapshot{}
 	}
+	prev := sh.last
+	if prev == s || (prev != nil && prev.src != sh) {
+		prev = nil
+	}
 	n := len(sh.verts)
+	cleanHi := 0 // slots [0, cleanHi) may be clean
+	if prev != nil {
+		cleanHi = min(n, int(prev.NumVertices()))
+	}
+	dirty := sh.dirty
+	// Offsets are the prefix sum over degrees; only dirty slots read their
+	// vertex blocks (the delta may wrap, which modular addition undoes).
 	s.ensureOffs(n)
 	s.offs[0] = 0
-	for v := 0; v < n; v++ {
+	for v := 0; v < n; {
+		if end := cleanEnd(dirty, v, cleanHi); end > v {
+			d := s.offs[v] - prev.offs[v]
+			for u := v + 1; u <= end; u++ {
+				s.offs[u] = prev.offs[u] + d
+			}
+			v = end
+			continue
+		}
 		s.offs[v+1] = s.offs[v] + uint64(sh.verts[v].deg)
+		v++
 	}
 	s.ensureAdj(s.offs[n])
-	parallel.For(n, p, func(v int) {
-		appendNeighborsVB(&sh.verts[v], s.adj[s.offs[v]:s.offs[v]:s.offs[v+1]])
+	parallel.ForChunk(n, p, func(lo, hi int) {
+		for v := lo; v < hi; {
+			if end := cleanEnd(dirty, v, min(hi, cleanHi)); end > v {
+				copy(s.adj[s.offs[v]:s.offs[end]], prev.adj[prev.offs[v]:prev.offs[end]])
+				v = end
+				continue
+			}
+			// Append into the pre-sized CSR segment for v; the full-slice
+			// expression pins capacity so a degree mismatch fails loudly
+			// instead of clobbering v+1's segment.
+			appendNeighborsVB(&sh.verts[v], s.adj[s.offs[v]:s.offs[v]:s.offs[v+1]])
+			v++
+		}
 	})
+	s.src = sh
+	sh.last = s
+	sh.dirty = growU64(sh.dirty, (n+63)/64)
+	clear(sh.dirty)
 	return s
+}
+
+// cleanEnd returns the end of the clean run starting at slot v: the first
+// slot in [v, hi) whose dirty bit is set, hi if there is none, and v
+// itself when v >= hi. The bitmap must cover [0, hi).
+func cleanEnd(dirty []uint64, v, hi int) int {
+	for i := v; i < hi; i = (i | 63) + 1 {
+		if w := dirty[i>>6] >> uint(i&63); w != 0 {
+			return min(i+bits.TrailingZeros64(w), hi)
+		}
+	}
+	return max(v, hi)
 }
 
 // ComposeSnapshots concatenates per-shard local snapshots (in shard order,

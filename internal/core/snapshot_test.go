@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"lsgraph/internal/gen"
@@ -137,5 +139,174 @@ func TestDeleteVertex(t *testing.T) {
 	g.DeleteVertex(5)
 	if g.NumEdges() != 2 {
 		t.Fatal("second DeleteVertex changed the graph")
+	}
+}
+
+// requireShardSnapshot checks a shard snapshot, offs and adj element for
+// element, against a from-scratch flatten of the shard read through the
+// graph's traversal path.
+func requireShardSnapshot(t *testing.T, g *Graph, i int, s *Snapshot, step string) {
+	t.Helper()
+	sh := g.Shard(i)
+	offs, adj := s.CSR()
+	wantOffs := []uint64{0}
+	var wantAdj []uint32
+	for v := uint32(0); v < sh.NumVertices(); v++ {
+		g.ForEachNeighbor(sh.Base()+v, func(u uint32) { wantAdj = append(wantAdj, u) })
+		wantOffs = append(wantOffs, uint64(len(wantAdj)))
+	}
+	if len(offs) != len(wantOffs) || len(adj) != len(wantAdj) {
+		t.Fatalf("%s: shard %d snapshot has %d offsets/%d edges, want %d/%d",
+			step, i, len(offs), len(adj), len(wantOffs), len(wantAdj))
+	}
+	for v := range wantOffs {
+		if offs[v] != wantOffs[v] {
+			t.Fatalf("%s: shard %d offs[%d]=%d, want %d", step, i, v, offs[v], wantOffs[v])
+		}
+	}
+	for j := range wantAdj {
+		if adj[j] != wantAdj[j] {
+			t.Fatalf("%s: shard %d adj[%d]=%d, want %d", step, i, j, adj[j], wantAdj[j])
+		}
+	}
+}
+
+// TestShardIncrementalPublishMatchesFullFlatten drives a 2-shard graph
+// through Zipf insert and delete batches, vertex-space growth, boundary
+// moves both ways and DeleteVertex, publishing every shard after every
+// step. Each publish copies the runs unchanged since the shard's previous
+// snapshot from it, so it must equal a from-scratch flatten element for
+// element — whether the reuse buffer is an older recycled snapshot, the
+// previous snapshot itself, or nil — and must leave the previous
+// snapshot, which readers may still hold, untouched.
+func TestShardIncrementalPublishMatchesFullFlatten(t *testing.T) {
+	const steps = 300
+	// Two workers per shard, so publishes split the flatten across chunks;
+	// M=64 makes the Zipf hubs HITree vertices with LIA roots.
+	g := New(600, Config{Shards: 2, Workers: 4, M: 64})
+	rng := gen.NewRNG(17)
+	type pub struct {
+		cur, spare *Snapshot
+		offs       []uint64 // copy of cur at publish time
+		adj        []uint32
+	}
+	pubs := make([]pub, g.NumShards())
+	publish := func(step int, what string) {
+		for i := range pubs {
+			p := &pubs[i]
+			var s *Snapshot
+			switch step % 4 {
+			case 0, 1: // double buffering: reuse the older snapshot
+				s = g.Shard(i).SnapshotInto(p.spare)
+				p.spare = p.cur
+			case 2: // the reuse buffer is the previous snapshot itself
+				s = g.Shard(i).SnapshotInto(p.cur)
+			default: // a fresh buffer
+				s = g.Shard(i).SnapshotInto(nil)
+				p.spare = p.cur
+			}
+			if p.cur != nil && p.cur != s {
+				offs, adj := p.cur.CSR()
+				if !slices.Equal(offs, p.offs) || !slices.Equal(adj, p.adj) {
+					t.Fatalf("step %d (%s): publishing shard %d modified its previous snapshot", step, what, i)
+				}
+			}
+			requireShardSnapshot(t, g, i, s, fmt.Sprintf("step %d (%s)", step, what))
+			p.cur = s
+			offs, adj := s.CSR()
+			p.offs, p.adj = slices.Clone(offs), slices.Clone(adj)
+		}
+	}
+	publish(0, "empty")
+	down := true
+	for step := 1; step <= steps; step++ {
+		n := g.NumVertices()
+		var what string
+		switch op := rng.Uint32n(10); {
+		case op < 4:
+			what = "insert"
+			src, dst := gen.NewZipf(n, 1.1, rng.Uint64()).Batch(int(64 + rng.Uint32n(512)))
+			g.InsertBatch(src, dst)
+		case op < 7:
+			// Delete a Zipf sample of present edges plus some absent ones;
+			// hub vertices lose large groups (bulk path), the rest single
+			// edges (per-edge path).
+			what = "delete"
+			z := gen.NewZipf(n, 1.1, rng.Uint64())
+			var src, dst []uint32
+			for k := 0; k < 40; k++ {
+				v := z.Vertex()
+				ns := g.AppendNeighbors(v, nil)
+				for _, u := range ns {
+					if rng.Uint32n(6) == 0 {
+						src, dst = append(src, v), append(dst, u)
+					}
+				}
+				src, dst = append(src, v), append(dst, rng.Uint32n(n))
+			}
+			g.DeleteBatch(src, dst)
+		case op < 8:
+			// Grow past every shard's previous snapshot, then write into
+			// the new tail.
+			what = "grow"
+			g.EnsureVertices(n + 1 + rng.Uint32n(48))
+			n = g.NumVertices()
+			src := make([]uint32, 64)
+			dst := make([]uint32, 64)
+			for k := range src {
+				src[k], dst[k] = n-1-rng.Uint32n(64), rng.Uint32n(n)
+			}
+			g.InsertBatch(src, dst)
+		case op < 9:
+			what = "move boundary"
+			pm := g.PartitionMap()
+			cur := pm.Starts[1]
+			var to uint32
+			if down && cur > 1 {
+				to = 1 + rng.Uint32n(cur-1)
+			} else {
+				to = cur + 1 + rng.Uint32n(n-cur)
+			}
+			down = !down
+			if to == cur || to >= n {
+				continue
+			}
+			if _, _, err := g.MoveBoundary(0, to); err != nil {
+				t.Fatalf("step %d: MoveBoundary(0, %d): %v", step, to, err)
+			}
+		default:
+			what = "delete vertex"
+			g.DeleteVertex(rng.Uint32n(n))
+		}
+		publish(step, what)
+	}
+	if err := g.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestShardPublishAfterForeignReuse hands a shard's latest snapshot to
+// another SnapshotInto — the whole-graph one, or another shard's — before
+// the shard publishes again. The shard must notice that its copy source
+// was rewritten and fall back to a full pass.
+func TestShardPublishAfterForeignReuse(t *testing.T) {
+	g := New(256, Config{Shards: 2, Workers: 2})
+	rng := gen.NewRNG(5)
+	insert := func() {
+		src, dst := gen.NewZipf(256, 1.1, rng.Uint64()).Batch(300)
+		g.InsertBatch(src, dst)
+	}
+	insert()
+	for _, tc := range []struct {
+		victim  int
+		rewrite func(*Snapshot)
+	}{
+		{1, func(s *Snapshot) { g.SnapshotInto(s) }},
+		{0, func(s *Snapshot) { g.Shard(1).SnapshotInto(s) }},
+	} {
+		tc.rewrite(g.Shard(tc.victim).SnapshotInto(nil))
+		insert()
+		s := g.Shard(tc.victim).SnapshotInto(nil)
+		requireShardSnapshot(t, g, tc.victim, s, fmt.Sprintf("shard %d after rewrite", tc.victim))
 	}
 }

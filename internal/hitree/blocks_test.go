@@ -107,3 +107,100 @@ func TestBlocksEarlyStop(t *testing.T) {
 		t.Fatalf("yield called %d times after returning false", calls)
 	}
 }
+
+// requireAppendToMatches checks Tree.AppendTo against Traverse, appending
+// after an empty dst and after a non-empty prefix (with and without spare
+// capacity), which must survive untouched.
+func requireAppendToMatches(t *testing.T, tr *Tree) {
+	t.Helper()
+	want := collect(tr)
+	prefix := []uint32{7, 3, 9}
+	for _, dst := range [][]uint32{
+		nil,
+		prefix[:len(prefix):len(prefix)],
+		append(make([]uint32, 0, len(prefix)+len(want)), prefix...),
+	} {
+		n := len(dst)
+		got := tr.AppendTo(dst)
+		if len(got) != n+len(want) {
+			t.Fatalf("AppendTo after %d-element prefix gave %d elements, want %d", n, len(got), n+len(want))
+		}
+		for i := 0; i < n; i++ {
+			if got[i] != prefix[i] {
+				t.Fatalf("AppendTo clobbered prefix[%d]: %d want %d", i, got[i], prefix[i])
+			}
+		}
+		for i, u := range want {
+			if got[n+i] != u {
+				t.Fatalf("AppendTo diverges at %d: %d want %d", i, got[n+i], u)
+			}
+		}
+	}
+}
+
+// TestAppendToMatchesTraverse covers AppendTo on every node kind: array
+// and RIA leaf roots, an LIA root holding E/U-placed blocks, B runs and a
+// merged child run, and churned trees (LIA rebuilds and, with
+// DisableModel, bnode internals).
+func TestAppendToMatchesTraverse(t *testing.T) {
+	cfg := liaCfg()
+	arr := BulkLoad(seqKeys(10, 3), cfg)
+	if _, ok := arr.root.(*leafArray); !ok {
+		t.Fatalf("10 elements built a %T root, want an array leaf", arr.root)
+	}
+	requireAppendToMatches(t, arr)
+	r := BulkLoad(seqKeys(40, 3), cfg)
+	if _, ok := r.root.(*riaNode); !ok {
+		t.Fatalf("40 elements built a %T root, want an RIA leaf", r.root)
+	}
+	requireAppendToMatches(t, r)
+
+	var ns []uint32
+	for i := 0; i < 400; i++ {
+		ns = append(ns, uint32(i*5000)) // spread keys: E/U-placed blocks
+	}
+	for i := 0; i < 300; i++ {
+		ns = append(ns, uint32(2_000_000+i*500)) // overflows adjacent blocks: merged child run
+	}
+	for c := 0; c < 20; c++ {
+		for i := 0; i < 8; i++ {
+			ns = append(ns, uint32(2_200_000+c*100_000+i*1000)) // conflicting clusters: B runs
+		}
+	}
+	tr := BulkLoad(ns, cfg)
+	l, ok := tr.root.(*lia)
+	if !ok {
+		t.Fatalf("%d elements built a %T root, want an LIA", len(ns), tr.root)
+	}
+	kinds := map[int]int{}
+	merged := 0
+	for blk := range l.children {
+		kinds[l.blockKind(blk)]++
+		if blk > 0 && l.children[blk] != nil && l.children[blk] == l.children[blk-1] {
+			merged++
+		}
+	}
+	if kinds[tE] == 0 || kinds[tB] == 0 || kinds[tC] == 0 || merged == 0 {
+		t.Fatalf("LIA root lacks a block kind: E/U %d, B %d, child %d, merged %d", kinds[tE], kinds[tB], kinds[tC], merged)
+	}
+	requireAppendToMatches(t, tr)
+
+	for _, disableModel := range []bool{false, true} {
+		churnCfg := smallCfg()
+		churnCfg.DisableModel = disableModel
+		rng := rand.New(rand.NewSource(44))
+		churned := New(churnCfg)
+		for step := 0; step < 3000; step++ {
+			u := uint32(rng.Intn(8192))
+			if churned.Has(u) && rng.Intn(3) == 0 {
+				churned.Delete(u)
+			} else {
+				churned.Insert(u)
+			}
+			if step%250 == 0 {
+				requireAppendToMatches(t, churned)
+			}
+		}
+		requireAppendToMatches(t, churned)
+	}
+}

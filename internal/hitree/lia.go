@@ -505,8 +505,14 @@ func (l *lia) blocks(yield func([]uint32) bool) bool {
 	return true
 }
 
+// appendTo appends the LIA's elements to dst one contiguous run of blocks
+// at a time, instead of one element per callback: under skew the hot
+// vertices are LIA roots, and every snapshot re-materializes them.
 func (l *lia) appendTo(dst []uint32) []uint32 {
-	l.traverse(func(u uint32) { dst = append(dst, u) })
+	l.blocks(func(run []uint32) bool {
+		dst = append(dst, run...)
+		return true
+	})
 	return dst
 }
 
