@@ -52,9 +52,11 @@ trace-demo:
 bench:
 	sh scripts/bench.sh $(TAG)
 
-# Analytics-kernel smoke: neighbor iteration (callback vs blocks) plus the
-# kernel benchmarks on the seeded power-law dataset, recorded to
-# BENCH_<tag>.json like `make bench`. Acceptance gate for read-path work.
+# Analytics-kernel smoke: storage-level neighbor iteration (ForEachNeighbor
+# vs NeighborBlocks, keys NeighborIteration/<shape>/{callback,blocks}) plus
+# one run of each kernel benchmark on the seeded power-law dataset (keys
+# BenchmarkKernel<Name>, one per kernel: the kernels have a single block
+# body), recorded to BENCH_<tag>.json like `make bench`.
 bench-analytics:
 	BENCHPKGS=./internal/algo BENCHPAT='NeighborIteration|Kernel' \
 		sh scripts/bench.sh $(TAG)

@@ -29,7 +29,7 @@ func BC(g engine.Graph, src uint32, p int) []float64 {
 	frontier := []uint32{src}
 	next := make([]bool, n)
 	bufs := frontierBufs(p)
-	bg := blocker(g)
+	curs := engine.NewBlockCursors(g, workers(p))
 	level := int32(0)
 	for len(frontier) > 0 {
 		levels = append(levels, frontier)
@@ -40,39 +40,25 @@ func BC(g engine.Graph, src uint32, p int) []float64 {
 			next[i] = false
 		}
 		level++
-		parallel.ForChunk(len(frontier), p, func(lo, hi int) {
-			if bg != nil {
-				var sv uint64
-				scan := func(bs []uint32) bool {
-					s, lv := sv, level // hoist heap captures off the loop
-					for _, u := range bs {
-						if atomic.CompareAndSwapInt32(&depth[u], NoParent, lv) {
-							next[u] = true
-						}
-						if atomic.LoadInt32(&depth[u]) == lv {
-							atomic.AddUint64(&sigma[u], s)
-						}
+		parallel.ForChunkW(len(frontier), p, func(w, lo, hi int) {
+			cur := curs[w]
+			var sv uint64
+			scan := func(bs []uint32) bool {
+				s, lv := sv, level // hoist heap captures off the loop
+				for _, u := range bs {
+					if atomic.CompareAndSwapInt32(&depth[u], NoParent, lv) {
+						next[u] = true
 					}
-					return true
+					if atomic.LoadInt32(&depth[u]) == lv {
+						atomic.AddUint64(&sigma[u], s)
+					}
 				}
-				for i := lo; i < hi; i++ {
-					v := frontier[i]
-					sv = sigma[v]
-					bg.NeighborBlocks(v, scan)
-				}
-				return
+				return true
 			}
 			for i := lo; i < hi; i++ {
 				v := frontier[i]
-				sv := sigma[v]
-				g.ForEachNeighbor(v, func(u uint32) {
-					if atomic.CompareAndSwapInt32(&depth[u], NoParent, level) {
-						next[u] = true
-					}
-					if atomic.LoadInt32(&depth[u]) == level {
-						atomic.AddUint64(&sigma[u], sv)
-					}
-				})
+				sv = sigma[v]
+				cur.Blocks(v, scan)
 			}
 		})
 		// Each level's frontier is retained in levels for the backward
@@ -86,37 +72,25 @@ func BC(g engine.Graph, src uint32, p int) []float64 {
 	for l := len(levels) - 2; l >= 0; l-- {
 		lv := levels[l]
 		dv := int32(l)
-		parallel.ForChunk(len(lv), p, func(lo, hi int) {
-			if bg != nil {
-				var sv float64
-				var acc float64
-				sum := func(bs []uint32) bool {
-					var s float64 // block-local: spill to acc once per block
-					for _, u := range bs {
-						if depth[u] == dv+1 && sigma[u] > 0 {
-							s += sv / float64(sigma[u]) * (1 + delta[u])
-						}
+		parallel.ForChunkW(len(lv), p, func(w, lo, hi int) {
+			cur := curs[w]
+			var sv float64
+			var acc float64
+			sum := func(bs []uint32) bool {
+				var s float64 // block-local: spill to acc once per block
+				for _, u := range bs {
+					if depth[u] == dv+1 && sigma[u] > 0 {
+						s += sv / float64(sigma[u]) * (1 + delta[u])
 					}
-					acc += s
-					return true
 				}
-				for i := lo; i < hi; i++ {
-					v := lv[i]
-					sv = float64(sigma[v])
-					acc = 0
-					bg.NeighborBlocks(v, sum)
-					delta[v] = acc
-				}
-				return
+				acc += s
+				return true
 			}
 			for i := lo; i < hi; i++ {
 				v := lv[i]
-				var acc float64
-				g.ForEachNeighbor(v, func(u uint32) {
-					if depth[u] == dv+1 && sigma[u] > 0 {
-						acc += float64(sigma[v]) / float64(sigma[u]) * (1 + delta[u])
-					}
-				})
+				sv = float64(sigma[v])
+				acc = 0
+				cur.Blocks(v, sum)
 				delta[v] = acc
 			}
 		})

@@ -38,6 +38,7 @@ func BFS(g engine.Graph, src uint32, p int) []int32 {
 	inFrontier := make([]bool, n)
 	next := make([]bool, n)
 	bufs := frontierBufs(p)
+	curs := engine.NewBlockCursors(g, workers(p))
 	totalEdges := g.NumEdges()
 	for len(frontier) > 0 {
 		// Direction heuristic (Beamer): go bottom-up when the frontier
@@ -57,9 +58,9 @@ func BFS(g engine.Graph, src uint32, p int) []int32 {
 			for _, v := range frontier {
 				inFrontier[v] = true
 			}
-			bfsBottomUp(g, parent, inFrontier, next, p)
+			bfsBottomUp(curs, parent, inFrontier, next, p)
 		} else {
-			bfsTopDown(g, frontier, parent, next, p)
+			bfsTopDown(curs, frontier, parent, next, p)
 		}
 		frontier = collectFrontier(frontier, next, bufs, p)
 	}
@@ -67,94 +68,48 @@ func BFS(g engine.Graph, src uint32, p int) []int32 {
 	return parent
 }
 
-func bfsTopDown(g engine.Graph, frontier []uint32, parent []int32, next []bool, p int) {
-	bg := blocker(g)
-	parallel.ForChunk(len(frontier), p, func(lo, hi int) {
-		if bg != nil {
-			var v uint32
-			scan := func(bs []uint32) bool {
-				pv := int32(v) // hoist the heap-captured source off the loop
-				for _, u := range bs {
-					if atomic.CompareAndSwapInt32(&parent[u], NoParent, pv) {
-						next[u] = true
-					}
-				}
-				return true
-			}
-			for i := lo; i < hi; i++ {
-				v = frontier[i]
-				bg.NeighborBlocks(v, scan)
-			}
-			return
-		}
-		for i := lo; i < hi; i++ {
-			v := frontier[i]
-			g.ForEachNeighbor(v, func(u uint32) {
-				if atomic.CompareAndSwapInt32(&parent[u], NoParent, int32(v)) {
+func bfsTopDown(curs []engine.BlockCursor, frontier []uint32, parent []int32, next []bool, p int) {
+	parallel.ForChunkW(len(frontier), p, func(w, lo, hi int) {
+		cur := curs[w]
+		var v uint32
+		scan := func(bs []uint32) bool {
+			pv := int32(v) // hoist the heap-captured source off the loop
+			for _, u := range bs {
+				if atomic.CompareAndSwapInt32(&parent[u], NoParent, pv) {
 					next[u] = true
 				}
-			})
-		}
-	})
-}
-
-func bfsBottomUp(g engine.Graph, parent []int32, inFrontier, next []bool, p int) {
-	bg := blocker(g)
-	parallel.ForChunk(len(parent), p, func(lo, hi int) {
-		if bg != nil {
-			// Returning false from the yield gives block-granular early
-			// exit once a frontier parent is found.
-			var v int
-			scan := func(bs []uint32) bool {
-				for _, u := range bs {
-					if inFrontier[u] {
-						parent[v] = int32(u)
-						next[v] = true
-						return false
-					}
-				}
-				return true
 			}
-			for v = lo; v < hi; v++ {
-				if parent[v] == NoParent {
-					bg.NeighborBlocks(uint32(v), scan)
-				}
-			}
-			return
+			return true
 		}
-		gu, hasUntil := g.(untilGraph)
 		for i := lo; i < hi; i++ {
-			if parent[i] != NoParent {
-				continue
-			}
-			v := uint32(i)
-			if hasUntil {
-				gu.ForEachNeighborUntil(v, func(u uint32) bool {
-					if inFrontier[u] {
-						parent[i] = int32(u)
-						next[i] = true
-						return false
-					}
-					return true
-				})
-				continue
-			}
-			done := false
-			g.ForEachNeighbor(v, func(u uint32) {
-				if !done && inFrontier[u] {
-					parent[i] = int32(u)
-					next[i] = true
-					done = true
-				}
-			})
+			v = frontier[i]
+			cur.Blocks(v, scan)
 		}
 	})
 }
 
-// untilGraph is implemented by engines that support early-terminating
-// neighbor iteration; bottom-up BFS exploits it when available.
-type untilGraph interface {
-	ForEachNeighborUntil(v uint32, f func(u uint32) bool)
+func bfsBottomUp(curs []engine.BlockCursor, parent []int32, inFrontier, next []bool, p int) {
+	parallel.ForChunkW(len(parent), p, func(w, lo, hi int) {
+		cur := curs[w]
+		// Returning false from the yield stops the walk once a frontier
+		// parent is found, at block granularity.
+		var v int
+		scan := func(bs []uint32) bool {
+			for _, u := range bs {
+				if inFrontier[u] {
+					parent[v] = int32(u)
+					next[v] = true
+					return false
+				}
+			}
+			return true
+		}
+		for v = lo; v < hi; v++ {
+			if parent[v] == NoParent {
+				cur.Blocks(uint32(v), scan)
+			}
+		}
+	})
 }
 
 // BFSLevels returns the depth of each vertex from src (-1 if unreached),
@@ -172,7 +127,7 @@ func BFSLevels(g engine.Graph, src uint32, p int) []int32 {
 	level := int32(0)
 	next := make([]bool, n)
 	bufs := frontierBufs(p)
-	bg := blocker(g)
+	curs := engine.NewBlockCursors(g, workers(p))
 	for len(frontier) > 0 {
 		if t.active() {
 			traversed += frontierDegreeSum(g, frontier)
@@ -181,28 +136,19 @@ func BFSLevels(g engine.Graph, src uint32, p int) []int32 {
 			next[i] = false
 		}
 		level++
-		parallel.ForChunk(len(frontier), p, func(lo, hi int) {
-			if bg != nil {
-				scan := func(bs []uint32) bool {
-					lv := level // hoist the heap-captured level off the loop
-					for _, u := range bs {
-						if atomic.CompareAndSwapInt32(&depth[u], NoParent, lv) {
-							next[u] = true
-						}
-					}
-					return true
-				}
-				for i := lo; i < hi; i++ {
-					bg.NeighborBlocks(frontier[i], scan)
-				}
-				return
-			}
-			for i := lo; i < hi; i++ {
-				g.ForEachNeighbor(frontier[i], func(u uint32) {
-					if atomic.CompareAndSwapInt32(&depth[u], NoParent, level) {
+		parallel.ForChunkW(len(frontier), p, func(w, lo, hi int) {
+			cur := curs[w]
+			scan := func(bs []uint32) bool {
+				lv := level // hoist the heap-captured level off the loop
+				for _, u := range bs {
+					if atomic.CompareAndSwapInt32(&depth[u], NoParent, lv) {
 						next[u] = true
 					}
-				})
+				}
+				return true
+			}
+			for i := lo; i < hi; i++ {
+				cur.Blocks(frontier[i], scan)
 			}
 		})
 		frontier = collectFrontier(frontier, next, bufs, p)

@@ -1,41 +1,8 @@
 package algo
 
 import (
-	"os"
-
-	"lsgraph/internal/engine"
 	"lsgraph/internal/parallel"
 )
-
-// useBlocks gates the block-granular read path in every kernel. It is on
-// by default; setting the LSGRAPH_NO_BLOCKS environment variable (or
-// calling SetBlockIteration(false)) forces the per-edge callback path —
-// the ablation knob behind the before/after kernel table in
-// EXPERIMENTS.md, letting one binary measure both read paths.
-var useBlocks = os.Getenv("LSGRAPH_NO_BLOCKS") == ""
-
-// SetBlockIteration toggles the block read path for subsequent kernel
-// runs and returns the previous setting so benchmarks can restore it. It
-// must not be called concurrently with a running kernel.
-func SetBlockIteration(on bool) bool {
-	prev := useBlocks
-	useBlocks = on
-	return prev
-}
-
-// blocker returns g's native block path, or nil when g lacks one or the
-// ablation knob disabled block iteration. Kernels bind it once per run:
-// with a non-nil blocker the inner loops range over contiguous slices
-// (one dynamic call per block instead of one per edge); on nil they fall
-// back to the per-edge ForEachNeighbor path, keeping the callback API as
-// the compatibility surface for engines without contiguous storage.
-func blocker(g engine.Graph) engine.NeighborBlocker {
-	if !useBlocks {
-		return nil
-	}
-	bg, _ := g.(engine.NeighborBlocker)
-	return bg
-}
 
 // workers returns an upper bound on the worker indexes parallel.ForChunkW
 // and ForBlockedW can pass to their bodies for a requested parallelism p,

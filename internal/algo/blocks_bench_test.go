@@ -22,10 +22,9 @@ func starGraph(deg int) *core.Graph {
 }
 
 // BenchmarkNeighborIteration measures one full adjacency scan of a
-// high-degree vertex through the two read paths: per-edge callbacks
-// (ForEachNeighbor) versus contiguous block slices (NeighborBlocks). The
-// blocks path is the tentpole optimization; ISSUE acceptance wants it
-// >= 2x faster on high-degree vertices.
+// high-degree vertex through the engine's two storage-level read methods:
+// per-edge callbacks (ForEachNeighbor) versus contiguous block slices
+// (NeighborBlocks, the path every kernel uses).
 func BenchmarkNeighborIteration(b *testing.B) {
 	for _, tc := range []struct {
 		name string
@@ -85,66 +84,57 @@ func benchKernelGraph(b *testing.B) *core.Graph {
 	return buildCoreCfg(1<<13, 13, 42, 1<<17, core.Config{})
 }
 
-// runKernelBench runs fn under both read paths as sub-benchmarks named
-// blocks/ and callback/, reporting ns/edge.
-func runKernelBench(b *testing.B, g *core.Graph, edgesPerOp func() uint64, fn func()) {
-	for _, mode := range []struct {
-		name string
-		on   bool
-	}{{"blocks", true}, {"callback", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			defer SetBlockIteration(SetBlockIteration(mode.on))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				fn()
-			}
-			reportNsPerEdge(b, edgesPerOp())
-		})
+// runKernelBench times fn, reporting ns/edge.
+func runKernelBench(b *testing.B, edgesPerOp func() uint64, fn func()) {
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fn()
 	}
+	reportNsPerEdge(b, edgesPerOp())
 }
 
 func BenchmarkKernelPageRank(b *testing.B) {
 	g := benchKernelGraph(b)
 	const iters = 5
-	runKernelBench(b, g, func() uint64 { return iters * g.NumEdges() }, func() {
+	runKernelBench(b, func() uint64 { return iters * g.NumEdges() }, func() {
 		PageRank(g, iters, 0)
 	})
 }
 
 func BenchmarkKernelBFS(b *testing.B) {
 	g := benchKernelGraph(b)
-	runKernelBench(b, g, g.NumEdges, func() {
+	runKernelBench(b, g.NumEdges, func() {
 		BFS(g, 0, 0)
 	})
 }
 
 func BenchmarkKernelCC(b *testing.B) {
 	g := benchKernelGraph(b)
-	runKernelBench(b, g, g.NumEdges, func() {
+	runKernelBench(b, g.NumEdges, func() {
 		CC(g, 0)
 	})
 }
 
 func BenchmarkKernelKCore(b *testing.B) {
 	g := benchKernelGraph(b)
-	runKernelBench(b, g, g.NumEdges, func() {
+	runKernelBench(b, g.NumEdges, func() {
 		KCore(g, 0)
 	})
 }
 
 func BenchmarkKernelTC(b *testing.B) {
 	g := benchKernelGraph(b)
-	runKernelBench(b, g, g.NumEdges, func() {
+	runKernelBench(b, g.NumEdges, func() {
 		TriangleCount(g, 0)
 	})
 }
 
 // BenchmarkKernelTCMaterialize isolates TC's traversal phase (the
-// "Traversal" column of Table 2) — the part the block read path turns
-// into bulk copies; the intersection phase reads the same CSR either way.
+// "Traversal" column of Table 2), which the block read path turns into one
+// bulk copy per block.
 func BenchmarkKernelTCMaterialize(b *testing.B) {
 	g := benchKernelGraph(b)
-	runKernelBench(b, g, g.NumEdges, func() {
+	runKernelBench(b, g.NumEdges, func() {
 		Materialize(g, 0)
 	})
 }

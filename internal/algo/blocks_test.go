@@ -5,7 +5,9 @@ import (
 	"testing"
 
 	"lsgraph/internal/core"
+	"lsgraph/internal/engine"
 	"lsgraph/internal/gen"
+	"lsgraph/internal/refgraph"
 )
 
 // buildCoreCfg loads a symmetrized power-law graph into the native
@@ -28,62 +30,66 @@ func buildCore(n uint32, scale uint, seed uint64, edges int) *core.Graph {
 	return buildCoreCfg(n, scale, seed, edges, core.Config{Workers: 2, ArrayMax: 8, M: 64})
 }
 
-// TestKernelsMatchAcrossReadPaths runs every kernel on the same native
-// graph through both read paths — blocks on (slices out of RIA storage)
-// and blocks off (per-edge callbacks, the pre-block code path) — and
-// requires identical results. This is the kernel-level differential for
-// the block cursor: both paths must traverse exactly the same edges in
-// the same order.
-func TestKernelsMatchAcrossReadPaths(t *testing.T) {
+// refCopy returns a callback-only copy of g: refgraph.Graph has no
+// NeighborBlocks, so kernels run on it through engine.BlockCursor's
+// materializing fallback.
+func refCopy(g *core.Graph) *refgraph.Graph {
+	r := refgraph.New(g.NumVertices())
+	for v := uint32(0); v < g.NumVertices(); v++ {
+		g.ForEachNeighbor(v, func(u uint32) { r.Insert(v, u) })
+	}
+	return r
+}
+
+// TestKernelsMatchNativeAndFallback runs every kernel on the native engine
+// (blocks sliced out of inline, array, RIA and HITree storage) and on a
+// callback-only copy of the same edges (the cursor's one-block-per-vertex
+// fallback, the path of Readers from outside the repository), and requires
+// the same results. Both sides run the same kernel body; only the block
+// source differs.
+func TestKernelsMatchNativeAndFallback(t *testing.T) {
 	g := buildCore(512, 9, 77, 4000)
-	defer SetBlockIteration(SetBlockIteration(true))
+	r := refCopy(g)
+	if r.NumEdges() != g.NumEdges() {
+		t.Fatalf("copy holds %d edges, engine %d", r.NumEdges(), g.NumEdges())
+	}
+	if _, ok := any(r).(engine.NeighborBlocker); ok {
+		t.Fatal("refgraph grew a native block path; the fallback side is no longer exercised")
+	}
 
 	for _, p := range []int{1, 4} {
-		SetBlockIteration(true)
-		bfsB := BFS(g, 0, p)
-		lvlB := BFSLevels(g, 0, p)
-		prB := PageRank(g, 10, p)
-		ccB := CC(g, p)
-		bcB := BC(g, 0, p)
-		tcB := TriangleCount(g, p).Triangles
-		kcB := KCore(g, p)
+		bfsN, bfsF := BFS(g, 0, p), BFS(r, 0, p)
+		lvlN, lvlF := BFSLevels(g, 0, p), BFSLevels(r, 0, p)
+		prN, prF := PageRank(g, 10, p), PageRank(r, 10, p)
+		ccN, ccF := CC(g, p), CC(r, p)
+		bcN, bcF := BC(g, 0, p), BC(r, 0, p)
+		tcN, tcF := TriangleCount(g, p).Triangles, TriangleCount(r, p).Triangles
+		kcN, kcF := KCore(g, p), KCore(r, p)
 
-		SetBlockIteration(false)
-		if got := blocker(g); got != nil {
-			t.Fatal("blocker not disabled by SetBlockIteration(false)")
-		}
-		lvlC := BFSLevels(g, 0, p)
-		prC := PageRank(g, 10, p)
-		ccC := CC(g, p)
-		bcC := BC(g, 0, p)
-		tcC := TriangleCount(g, p).Triangles
-		kcC := KCore(g, p)
-		bfsC := BFS(g, 0, p)
-
-		for v := range lvlB {
-			if lvlB[v] != lvlC[v] {
-				t.Fatalf("p=%d: BFS level differs at %d: %d vs %d", p, v, lvlB[v], lvlC[v])
+		for v := range lvlN {
+			if lvlN[v] != lvlF[v] {
+				t.Fatalf("p=%d: BFS level differs at %d: %d vs %d", p, v, lvlN[v], lvlF[v])
 			}
 			// Parent choice can differ between runs (CAS races), but
 			// reachability cannot.
-			if (bfsB[v] == NoParent) != (bfsC[v] == NoParent) {
+			if (bfsN[v] == NoParent) != (bfsF[v] == NoParent) {
 				t.Fatalf("p=%d: BFS reachability differs at %d", p, v)
 			}
-			if ccB[v] != ccC[v] {
+			if ccN[v] != ccF[v] {
 				t.Fatalf("p=%d: CC differs at %d", p, v)
 			}
-			if kcB[v] != kcC[v] {
+			if kcN[v] != kcF[v] {
 				t.Fatalf("p=%d: KCore differs at %d", p, v)
 			}
-			if math.Abs(prB[v]-prC[v]) > 1e-12 {
-				t.Fatalf("p=%d: PageRank differs at %d: %g vs %g", p, v, prB[v], prC[v])
+			if math.Abs(prN[v]-prF[v]) > 1e-12 {
+				t.Fatalf("p=%d: PageRank differs at %d: %g vs %g", p, v, prN[v], prF[v])
 			}
-			if math.Abs(bcB[v]-bcC[v]) > 1e-9 {
-				t.Fatalf("p=%d: BC differs at %d: %g vs %g", p, v, bcB[v], bcC[v])
+			if math.Abs(bcN[v]-bcF[v]) > 1e-9 {
+				t.Fatalf("p=%d: BC differs at %d: %g vs %g", p, v, bcN[v], bcF[v])
 			}
 		}
-		if tcB != tcC {
-			t.Fatalf("p=%d: TC differs: %d vs %d", p, tcB, tcC)
+		if tcN != tcF {
+			t.Fatalf("p=%d: TC differs: %d vs %d", p, tcN, tcF)
 		}
 	}
 }

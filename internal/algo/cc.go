@@ -41,39 +41,28 @@ func CC(g engine.Graph, p int) []uint32 {
 	// same vertex's label in one round; each marks it with an atomic store.
 	changed := make([]uint32, n)
 	bufs := frontierBufs(p)
-	bg := blocker(g)
+	curs := engine.NewBlockCursors(g, workers(p))
 	for len(frontier) > 0 {
 		if t.active() {
 			traversed += frontierDegreeSum(g, frontier)
 		}
 		clear(changed)
-		parallel.ForChunk(len(frontier), p, func(lo, hi int) {
-			if bg != nil {
-				var cv uint32
-				scan := func(bs []uint32) bool {
-					c := cv // hoist the heap-captured label off the loop
-					for _, u := range bs {
-						if atomicMinUint32(&comp[u], c) {
-							atomic.StoreUint32(&changed[u], 1)
-						}
+		parallel.ForChunkW(len(frontier), p, func(w, lo, hi int) {
+			cur := curs[w]
+			var cv uint32
+			scan := func(bs []uint32) bool {
+				c := cv // hoist the heap-captured label off the loop
+				for _, u := range bs {
+					if atomicMinUint32(&comp[u], c) {
+						atomic.StoreUint32(&changed[u], 1)
 					}
-					return true
 				}
-				for i := lo; i < hi; i++ {
-					v := frontier[i]
-					cv = atomic.LoadUint32(&comp[v])
-					bg.NeighborBlocks(v, scan)
-				}
-				return
+				return true
 			}
 			for i := lo; i < hi; i++ {
 				v := frontier[i]
-				cv := atomic.LoadUint32(&comp[v])
-				g.ForEachNeighbor(v, func(u uint32) {
-					if atomicMinUint32(&comp[u], cv) {
-						atomic.StoreUint32(&changed[u], 1)
-					}
-				})
+				cv = atomic.LoadUint32(&comp[v])
+				cur.Blocks(v, scan)
 			}
 		})
 		frontier = collectFrontier(frontier, changed, bufs, p)

@@ -9,11 +9,12 @@ import (
 	"lsgraph/internal/engine"
 	"lsgraph/internal/gen"
 	"lsgraph/internal/pactree"
+	"lsgraph/internal/sortledton"
 	"lsgraph/internal/terrace"
 )
 
 // TestAnalyticsIdenticalAcrossEngines loads the same symmetrized graph
-// into all four engines and requires every kernel to produce identical
+// into all five engines and requires every kernel to produce identical
 // results — analytics correctness must not depend on the storage layer.
 func TestAnalyticsIdenticalAcrossEngines(t *testing.T) {
 	const n = 512
@@ -28,6 +29,7 @@ func TestAnalyticsIdenticalAcrossEngines(t *testing.T) {
 		terrace.New(n, 2),
 		aspen.New(n, 2),
 		pactree.New(n, 2),
+		sortledton.New(n, 2),
 	}
 	for _, e := range engines {
 		e.InsertBatch(src, dst)

@@ -43,57 +43,34 @@ func KCore(g engine.Graph, p int) []uint32 {
 	// with deg[u] > deg[v] moves one bucket down by swapping it to the
 	// front of its bucket.
 	core := make([]uint32, n)
-	bg := blocker(g)
-	if bg != nil {
-		// The peel is inherently sequential, so the block path's win here
-		// is purely the per-edge dispatch: one yield call per contiguous
-		// run instead of one closure call per neighbor.
-		var dv uint32
-		scan := func(bs []uint32) bool {
-			d := dv // hoist the heap-captured pivot degree off the loop
-			for _, u := range bs {
-				if deg[u] <= d {
-					continue
-				}
-				du := deg[u]
-				pu := posOf[u]
-				pw := binStart[du]
-				w := order[pw]
-				if u != w {
-					order[pu], order[pw] = w, u
-					posOf[u], posOf[w] = pw, pu
-				}
-				binStart[du]++
-				deg[u]--
+	// The peel is inherently sequential, so one cursor serves the whole
+	// run: one yield call per contiguous run of the pivot's neighbors.
+	cur := engine.NewBlockCursor(g)
+	var dv uint32
+	scan := func(bs []uint32) bool {
+		d := dv // hoist the heap-captured pivot degree off the loop
+		for _, u := range bs {
+			if deg[u] <= d {
+				continue
 			}
-			return true
+			du := deg[u]
+			pu := posOf[u]
+			pw := binStart[du]
+			w := order[pw]
+			if u != w {
+				order[pu], order[pw] = w, u
+				posOf[u], posOf[w] = pw, pu
+			}
+			binStart[du]++
+			deg[u]--
 		}
-		for i := 0; i < n; i++ {
-			v := order[i]
-			core[v] = deg[v]
-			dv = deg[v]
-			bg.NeighborBlocks(v, scan)
-		}
-	} else {
-		for i := 0; i < n; i++ {
-			v := order[i]
-			core[v] = deg[v]
-			g.ForEachNeighbor(v, func(u uint32) {
-				if deg[u] <= deg[v] {
-					return
-				}
-				du := deg[u]
-				pu := posOf[u]
-				pw := binStart[du]
-				w := order[pw]
-				if u != w {
-					order[pu], order[pw] = w, u
-					posOf[u], posOf[w] = pw, pu
-				}
-				binStart[du]++
-				deg[u]--
-			})
-		}
+		return true
+	}
+	for i := 0; i < n; i++ {
+		v := order[i]
+		core[v] = deg[v]
+		dv = deg[v]
+		cur.Blocks(v, scan)
 	}
 	// Peeling visits every vertex's adjacency exactly once.
 	obsKCore.done(t, g.NumEdges())

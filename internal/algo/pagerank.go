@@ -20,6 +20,7 @@ func PageRank(g engine.Graph, iters, p int) []float64 {
 	t := obsPR.begin()
 	n := int(g.NumVertices())
 	if n == 0 {
+		obsPR.done(t, 0) // an empty graph is still a recorded run
 		return nil
 	}
 	rank := make([]float64, n)
@@ -29,7 +30,7 @@ func PageRank(g engine.Graph, iters, p int) []float64 {
 	for i := range rank {
 		rank[i] = inv
 	}
-	bg := blocker(g)
+	curs := engine.NewBlockCursors(g, workers(p))
 	// One cache-line-padded accumulator slot per worker: ForChunkW runs one
 	// goroutine per worker index, so each slot is written by exactly one
 	// goroutine — no atomics, no false sharing, and (unlike the old
@@ -57,33 +58,24 @@ func PageRank(g engine.Graph, iters, p int) []float64 {
 			dangling += danglingParts[i].v
 		}
 		base := (1-PageRankDamping)*inv + PageRankDamping*dangling*inv
-		parallel.ForChunk(n, p, func(lo, hi int) {
-			if bg != nil {
-				// One closure per chunk, not per vertex: the yield ranges a
-				// contiguous slice, so the per-edge cost is one indexed load
-				// and add. The captured accumulator lives on the heap, so
-				// sum into a register-local and spill once per block.
-				var acc float64
-				sum := func(bs []uint32) bool {
-					var s float64
-					for _, u := range bs {
-						s += contrib[u]
-					}
-					acc += s
-					return true
-				}
-				for v := lo; v < hi; v++ {
-					acc = 0
-					bg.NeighborBlocks(uint32(v), sum)
-					next[v] = base + PageRankDamping*acc
-				}
-				return
-			}
+		parallel.ForChunkW(n, p, func(w, lo, hi int) {
+			// One closure per chunk, not per vertex: the yield ranges a
+			// contiguous slice, so the per-edge cost is one indexed load
+			// and add. The captured accumulator lives on the heap, so sum
+			// into a register-local and spill once per block.
+			cur := curs[w]
 			var acc float64
-			each := func(u uint32) { acc += contrib[u] }
+			sum := func(bs []uint32) bool {
+				var s float64
+				for _, u := range bs {
+					s += contrib[u]
+				}
+				acc += s
+				return true
+			}
 			for v := lo; v < hi; v++ {
 				acc = 0
-				g.ForEachNeighbor(uint32(v), each)
+				cur.Blocks(uint32(v), sum)
 				next[v] = base + PageRankDamping*acc
 			}
 		})

@@ -44,11 +44,6 @@ func (g *Graph) ForEachNeighbor(v uint32, f func(u uint32)) {
 	walkUntil(g.roots[v], func(u uint32) bool { f(u); return true })
 }
 
-// ForEachNeighborUntil applies f in ascending order until it returns false.
-func (g *Graph) ForEachNeighborUntil(v uint32, f func(u uint32) bool) {
-	walkUntil(g.roots[v], f)
-}
-
 // NeighborBlocks yields v's neighbors chunk by chunk in ascending order
 // (engine.NeighborBlocker); each block is one tree node's sorted chunk.
 func (g *Graph) NeighborBlocks(v uint32, yield func(block []uint32) bool) {

@@ -259,36 +259,46 @@ func (t *Tree) DeleteMin() uint32 {
 
 // Traverse applies f to every key in ascending order.
 func (t *Tree) Traverse(f func(u uint32)) {
-	t.TraverseUntil(func(u uint32) bool { f(u); return true })
+	t.Blocks(func(b []uint32) bool {
+		for _, u := range b {
+			f(u)
+		}
+		return true
+	})
 }
 
-// TraverseUntil applies f in ascending order until it returns false,
-// reporting whether the traversal completed.
-func (t *Tree) TraverseUntil(f func(u uint32) bool) bool {
-	return walkUntil(t.root, f)
+// Blocks yields the keys in ascending order as non-empty segments aliasing
+// node storage: each leaf's keys as one segment, and each separator key of
+// an internal node as a one-element segment between its children's runs.
+// It stops when yield returns false and reports whether the walk ran to
+// completion. Segments are valid only until yield returns and must not be
+// mutated.
+func (t *Tree) Blocks(yield func(block []uint32) bool) bool {
+	return blocks(t.root, yield)
 }
 
-func walkUntil(x *node, f func(uint32) bool) bool {
+func blocks(x *node, yield func([]uint32) bool) bool {
 	if x == nil {
 		return true
 	}
-	for i, k := range x.keys {
-		if !x.leaf() && !walkUntil(x.children[i], f) {
-			return false
-		}
-		if !f(k) {
+	if x.leaf() {
+		n := len(x.keys)
+		return n == 0 || yield(x.keys[:n:n])
+	}
+	for i := range x.keys {
+		if !blocks(x.children[i], yield) || !yield(x.keys[i:i+1:i+1]) {
 			return false
 		}
 	}
-	if !x.leaf() {
-		return walkUntil(x.children[len(x.children)-1], f)
-	}
-	return true
+	return blocks(x.children[len(x.children)-1], yield)
 }
 
 // AppendTo appends every key in ascending order to dst.
 func (t *Tree) AppendTo(dst []uint32) []uint32 {
-	t.Traverse(func(u uint32) { dst = append(dst, u) })
+	t.Blocks(func(b []uint32) bool {
+		dst = append(dst, b...)
+		return true
+	})
 	return dst
 }
 

@@ -103,11 +103,83 @@ func TestMinDeleteMin(t *testing.T) {
 	}
 }
 
-func TestTraverseUntil(t *testing.T) {
-	tr := BulkLoad([]uint32{1, 2, 3, 4, 5})
-	seen := 0
-	if tr.TraverseUntil(func(u uint32) bool { seen++; return u < 3 }) || seen != 3 {
-		t.Fatalf("TraverseUntil seen=%d", seen)
+// TestBlocksConcatenation checks that Blocks re-segments the key set
+// exactly under churn: non-empty ascending segments whose concatenation is
+// the sorted model, with leaves yielded as multi-key runs.
+func TestBlocksConcatenation(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	var tr Tree
+	model := map[uint32]bool{}
+	for i := 0; i < 6000; i++ {
+		u := uint32(rng.Intn(3000))
+		if rng.Intn(3) == 0 {
+			tr.Delete(u)
+			delete(model, u)
+		} else {
+			tr.Insert(u)
+			model[u] = true
+		}
+	}
+	want := make([]uint32, 0, len(model))
+	for u := range model {
+		want = append(want, u)
+	}
+	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+	var got []uint32
+	longest := 0
+	if !tr.Blocks(func(b []uint32) bool {
+		if len(b) == 0 {
+			t.Fatal("empty block")
+		}
+		longest = max(longest, len(b))
+		got = append(got, b...)
+		return true
+	}) {
+		t.Fatal("full walk reported an early stop")
+	}
+	if len(got) != len(want) {
+		t.Fatalf("blocks hold %d keys, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("blocks diverge at %d: %d want %d", i, got[i], want[i])
+		}
+	}
+	if longest < 2 {
+		t.Fatal("no multi-key leaf block yielded")
+	}
+}
+
+// TestBlocksEarlyStop stops the walk at several keys: Blocks must report
+// the stop, never call yield again, and have yielded every key up to the
+// stop key in order.
+func TestBlocksEarlyStop(t *testing.T) {
+	keys := make([]uint32, 500)
+	for i := range keys {
+		keys[i] = uint32(2 * i)
+	}
+	tr := BulkLoad(keys)
+	for _, k := range []int{0, 1, 17, 250, 499} {
+		seen, stopped := 0, false
+		done := tr.Blocks(func(b []uint32) bool {
+			if stopped {
+				t.Fatalf("stop at %d: yield called after returning false", k)
+			}
+			for _, u := range b {
+				if u != keys[seen] {
+					t.Fatalf("stop at %d: key %d is %d, want %d", k, seen, u, keys[seen])
+				}
+				if seen == k {
+					stopped = true
+					return false
+				}
+				seen++
+			}
+			return true
+		})
+		if done || !stopped {
+			t.Fatalf("stop at %d: done=%v stopped=%v", k, done, stopped)
+		}
 	}
 }
 

@@ -151,21 +151,23 @@ func equalAdjacency(v uint32, ns []uint32, ref engine.Graph) error {
 	return nil
 }
 
+// BlockGraph is a Graph with its native block read path, as every engine,
+// snapshot and view in the repository is.
+type BlockGraph interface {
+	engine.Graph
+	engine.NeighborBlocker
+}
+
 // Blocks validates g's block-granular read path against its per-edge
 // traversal: for every vertex the yielded blocks must be non-empty
 // ascending slices whose concatenation equals the ForEachNeighbor order
-// (the engine.NeighborBlocker contract). Engines without a native block
-// path pass trivially.
-func Blocks(g engine.Graph) error {
-	bg, ok := g.(engine.NeighborBlocker)
-	if !ok {
-		return nil
-	}
+// (the engine.NeighborBlocker contract).
+func Blocks(g BlockGraph) error {
 	n := g.NumVertices()
 	for v := uint32(0); v < n; v++ {
 		want := engine.Neighbors(g, v)
 		i, bad := 0, ""
-		bg.NeighborBlocks(v, func(bs []uint32) bool {
+		g.NeighborBlocks(v, func(bs []uint32) bool {
 			if len(bs) == 0 {
 				bad = fmt.Sprintf("check: vertex %d yielded an empty block", v)
 				return false

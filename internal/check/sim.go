@@ -435,7 +435,7 @@ func (r *runner) hasProbes() error {
 
 // compareGraphs asserts got and the oracle agree exactly on vertex count,
 // edge count, every degree, and every adjacency list.
-func compareGraphs(got engine.Graph, ref *refgraph.Graph) error {
+func compareGraphs(got BlockGraph, ref *refgraph.Graph) error {
 	if g, w := got.NumVertices(), ref.NumVertices(); g != w {
 		return fmt.Errorf("NumVertices %d, oracle %d", g, w)
 	}
@@ -458,7 +458,7 @@ func compareGraphs(got engine.Graph, ref *refgraph.Graph) error {
 		}
 	}
 	// The per-edge surface matched the oracle; the block surface must
-	// re-segment it exactly (no-op for engines without a block path).
+	// re-segment it exactly.
 	return Blocks(got)
 }
 

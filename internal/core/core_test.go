@@ -199,7 +199,14 @@ func TestHasAndUntil(t *testing.T) {
 		t.Fatal("Has wrong")
 	}
 	seen := 0
-	g.ForEachNeighborUntil(0, func(u uint32) bool { seen++; return u < 10 })
+	g.NeighborBlocks(0, func(bs []uint32) bool {
+		for _, u := range bs {
+			if seen++; u >= 10 {
+				return false
+			}
+		}
+		return true
+	})
 	if seen != 2 {
 		t.Fatalf("Until visited %d", seen)
 	}

@@ -209,23 +209,6 @@ func (g *Graph) ForEachNeighbor(v uint32, f func(u uint32)) {
 	}
 }
 
-// ForEachNeighborUntil applies f in ascending order until f returns false.
-func (g *Graph) ForEachNeighborUntil(v uint32, f func(u uint32) bool) {
-	vb := g.vb(v)
-	if vb == nil {
-		return
-	}
-	n := vb.inlineLen()
-	for i := 0; i < n; i++ {
-		if !f(vb.inline[i]) {
-			return
-		}
-	}
-	if vb.ov != nil {
-		vb.ov.TraverseUntil(f)
-	}
-}
-
 // NeighborBlocks yields v's neighbors as ascending contiguous segments
 // aliasing the engine's storage — the inline prefix first, then the
 // overflow structure's occupied runs (engine.NeighborBlocker). Blocks are

@@ -247,15 +247,6 @@ func (s *Snapshot) ForEachNeighbor(v uint32, f func(u uint32)) {
 	}
 }
 
-// ForEachNeighborUntil applies f in ascending order until it returns false.
-func (s *Snapshot) ForEachNeighborUntil(v uint32, f func(u uint32) bool) {
-	for _, u := range s.Neighbors(v) {
-		if !f(u) {
-			return
-		}
-	}
-}
-
 // NeighborBlocks yields v's entire CSR segment as one block aliasing
 // snapshot storage (engine.NeighborBlocker) — the ideal case for the block
 // read path: one yield per vertex, fully contiguous.

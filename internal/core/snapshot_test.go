@@ -54,11 +54,11 @@ func TestSnapshotIsImmutableView(t *testing.T) {
 			t.Fatal("snapshot contents changed after update")
 		}
 	}
-	// Until-iteration stops early.
-	seen := 0
-	snap.ForEachNeighborUntil(1, func(u uint32) bool { seen++; return false })
-	if degree > 0 && seen != 1 {
-		t.Fatalf("Until visited %d", seen)
+	// A false yield stops the block walk.
+	calls := 0
+	snap.NeighborBlocks(1, func([]uint32) bool { calls++; return false })
+	if degree > 0 && calls != 1 {
+		t.Fatalf("yield called %d times after returning false", calls)
 	}
 }
 

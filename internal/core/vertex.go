@@ -18,7 +18,6 @@ type overflow interface {
 	Min() uint32
 	DeleteMin() uint32
 	Traverse(f func(u uint32))
-	TraverseUntil(f func(u uint32) bool) bool
 	// Blocks yields ascending contiguous segments aliasing the structure's
 	// backing storage, under the engine.NeighborBlocker contract; it
 	// reports whether the walk ran to completion.
@@ -117,15 +116,6 @@ func (a *arrOverflow) Traverse(f func(uint32)) {
 	}
 }
 
-func (a *arrOverflow) TraverseUntil(f func(uint32) bool) bool {
-	for _, u := range a.data {
-		if !f(u) {
-			return false
-		}
-	}
-	return true
-}
-
 func (a *arrOverflow) Blocks(yield func([]uint32) bool) bool {
 	if len(a.data) == 0 {
 		return true
@@ -155,16 +145,6 @@ func (o *pmaOverflow) Blocks(yield func([]uint32) bool) bool {
 func (o *pmaOverflow) AppendTo(dst []uint32) []uint32 { return o.p.AppendTo(dst) }
 func (o *pmaOverflow) Memory() uint64                 { return o.p.Memory() }
 func (o *pmaOverflow) IndexMemory() uint64            { return 0 }
-
-func (o *pmaOverflow) TraverseUntil(f func(uint32) bool) bool {
-	done := true
-	o.p.Traverse(func(u uint32) {
-		if done && !f(u) {
-			done = false
-		}
-	})
-	return done
-}
 
 // newOverflow builds the right overflow structure for a sorted neighbor
 // slice of the given final size, per the thresholds of §4.1.

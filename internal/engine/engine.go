@@ -1,7 +1,7 @@
 // Package engine defines the interface every streaming graph engine in this
-// repository implements — LSGraph itself and the three baselines (Terrace,
-// Aspen, PaC-tree). The analytics kernels and the benchmark harness are
-// written against this interface so all four systems run identical code
+// repository implements — LSGraph itself and the baselines (Terrace,
+// Aspen, PaC-tree, Sortledton). The analytics kernels and the benchmark
+// harness are written against this interface so every system runs identical code
 // above the storage layer, mirroring how the paper layers Ligra-style
 // primitives over each system.
 package engine
@@ -33,9 +33,12 @@ type Update interface {
 	DeleteBatch(src, dst []uint32)
 }
 
-// Engine is a complete streaming graph system.
+// Engine is a complete streaming graph system. Every engine offers the
+// block read path natively, so the kernels never copy adjacency out of an
+// in-repo engine to iterate it.
 type Engine interface {
 	Graph
+	NeighborBlocker
 	Update
 	// MemoryUsage returns the engine's estimated resident bytes for graph
 	// storage (Table 3).
@@ -44,87 +47,78 @@ type Engine interface {
 	Name() string
 }
 
-// NeighborBlocker is the block-granular read path, implemented by engines
-// whose adjacency lives in contiguous memory (LSGraph's inline prefix and
-// RIA/LIA blocks, Aspen's tree chunks, PaC-tree leaves, CSR snapshots).
-// It is optional: kernels detect it and fall back to ForEachNeighbor via
-// BlocksFromForEach, keeping the callback API as the compatibility surface.
+// NeighborBlocker is the block-granular read path every Engine implements:
+// LSGraph's inline prefix and RIA/LIA blocks, Terrace's inline prefix,
+// B-tree nodes and decoded PMA chunks, Aspen's tree chunks, PaC-tree
+// leaves, Sortledton's vector or skip-list blocks, and CSR snapshots. The
+// kernels reach it through a BlockCursor, which also serves a plain Graph
+// that lacks it.
 type NeighborBlocker interface {
 	// NeighborBlocks yields v's adjacency as a sequence of non-empty,
 	// ascending []uint32 segments whose concatenation equals the
-	// ForEachNeighbor order. Blocks alias the engine's backing storage:
-	// they are valid only until yield returns and must not be mutated or
-	// retained. Returning false from yield stops the iteration. The same
-	// concurrency contract as ForEachNeighbor applies.
+	// ForEachNeighbor order. Blocks alias the engine's backing storage or
+	// scratch: they are valid only until yield returns and must not be
+	// mutated or retained. Returning false from yield stops the
+	// iteration. The same concurrency contract as ForEachNeighbor applies.
 	NeighborBlocks(v uint32, yield func(block []uint32) bool)
 }
 
-// BlocksFromForEach adapts a callback-only engine to the block contract by
-// materializing v's neighbors into buf (grown as needed) and yielding it as
-// a single block. It returns the (possibly grown) buffer so callers can
-// reuse it across vertices; the yielded block aliases that buffer.
-func BlocksFromForEach(g Graph, v uint32, buf []uint32, yield func(block []uint32) bool) []uint32 {
-	buf = AppendNeighbors(g, v, buf[:0])
-	if len(buf) > 0 {
-		yield(buf)
-	}
-	return buf
-}
-
-// BlockCursor binds a graph's best block strategy once so per-vertex
-// iteration pays no type assertions and no per-call allocation. Each
-// worker goroutine should own its own cursor (the fallback scratch buffer
-// is not safe to share).
+// BlockCursor is the one edge-iteration path of the analytics kernels. It
+// binds a graph's block strategy once, so per-vertex iteration is a single
+// dynamic call: a NeighborBlocker is walked natively, and any other Graph
+// (a callback-only Reader supplied from outside the repository) has each
+// vertex's neighbors gathered into a reused scratch buffer and yielded as
+// one block. Each worker goroutine must own its own cursor, since the
+// scratch buffer is not safe to share.
 type BlockCursor struct {
-	bg  NeighborBlocker // nil when g lacks a native block path
-	g   Graph
-	buf []uint32 // fallback scratch, reused across vertices
+	nb NeighborBlocker
 }
 
-// NewBlockCursor returns a cursor over g, using the native block path when
-// g implements NeighborBlocker and the materializing fallback otherwise.
+// NewBlockCursor returns a cursor over g.
 func NewBlockCursor(g Graph) BlockCursor {
-	bg, _ := g.(NeighborBlocker)
-	return BlockCursor{bg: bg, g: g}
+	if bg, ok := g.(NeighborBlocker); ok {
+		return BlockCursor{nb: bg}
+	}
+	return BlockCursor{nb: &gatherer{g: g}}
 }
 
-// Native reports whether the cursor uses a zero-copy block path.
-func (c *BlockCursor) Native() bool { return c.bg != nil }
+// NewBlockCursors returns n cursors over g, one per worker index of a
+// parallel loop (parallel.ForChunkW), so each worker reuses its own
+// fallback scratch for the whole run.
+func NewBlockCursors(g Graph, n int) []BlockCursor {
+	cs := make([]BlockCursor, n)
+	for i := range cs {
+		cs[i] = NewBlockCursor(g)
+	}
+	return cs
+}
 
 // Blocks yields v's neighbors as ascending contiguous segments, under the
 // same aliasing and termination contract as NeighborBlocks.
-func (c *BlockCursor) Blocks(v uint32, yield func(block []uint32) bool) {
-	if c.bg != nil {
-		c.bg.NeighborBlocks(v, yield)
-		return
+func (c BlockCursor) Blocks(v uint32, yield func(block []uint32) bool) {
+	c.nb.NeighborBlocks(v, yield)
+}
+
+// gatherer is BlockCursor's fallback for a Graph without NeighborBlocks.
+type gatherer struct {
+	g   Graph
+	buf []uint32 // scratch, reused across vertices
+}
+
+// NeighborBlocks collects v's neighbors through ForEachNeighbor into the
+// scratch buffer and yields them as one block.
+func (c *gatherer) NeighborBlocks(v uint32, yield func(block []uint32) bool) {
+	buf := c.buf[:0]
+	c.g.ForEachNeighbor(v, func(u uint32) { buf = append(buf, u) })
+	if c.buf = buf; len(buf) > 0 {
+		yield(buf)
 	}
-	c.buf = BlocksFromForEach(c.g, v, c.buf, yield)
 }
 
-// NeighborsByBlocks collects v's neighbors through the block path into a
-// fresh slice (copying, unlike the yielded blocks). Tests use it to check
-// block/callback equivalence.
-func NeighborsByBlocks(g Graph, v uint32) []uint32 {
-	out := make([]uint32, 0, g.Degree(v))
-	c := NewBlockCursor(g)
-	c.Blocks(v, func(b []uint32) bool {
-		out = append(out, b...)
-		return true
-	})
-	return out
-}
-
-// Neighbors collects v's neighbors into a fresh slice. It is a convenience
-// for tests and for analytics that materialize adjacency (the paper's TC).
+// Neighbors collects v's neighbors into a fresh slice through
+// ForEachNeighbor. It is a convenience for tests and checkers.
 func Neighbors(g Graph, v uint32) []uint32 {
 	out := make([]uint32, 0, g.Degree(v))
 	g.ForEachNeighbor(v, func(u uint32) { out = append(out, u) })
 	return out
-}
-
-// AppendNeighbors appends v's neighbors to dst and returns it, reusing
-// dst's capacity. Used by triangle counting to avoid per-vertex allocation.
-func AppendNeighbors(g Graph, v uint32, dst []uint32) []uint32 {
-	g.ForEachNeighbor(v, func(u uint32) { dst = append(dst, u) })
-	return dst
 }

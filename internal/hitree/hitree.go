@@ -55,10 +55,6 @@ func (t *Tree) DeleteMin() uint32 {
 // Traverse applies f to every element in ascending order.
 func (t *Tree) Traverse(f func(u uint32)) { t.root.traverse(f) }
 
-// TraverseUntil applies f in ascending order until f returns false,
-// reporting whether it ran to completion.
-func (t *Tree) TraverseUntil(f func(u uint32) bool) bool { return t.root.traverseUntil(f) }
-
 // Blocks yields every element in ascending order as contiguous segments
 // aliasing the tree's storage, stopping early when yield returns false and
 // reporting whether the walk ran to completion. Segments are valid only

@@ -202,6 +202,9 @@ func TestMinOnLargeLIA(t *testing.T) {
 	}
 }
 
+// TestTraverseUntilStops checks that a walk of a bulk-loaded tree stopped
+// mid-way at element 99 reports the stop, never yields again, and has
+// visited exactly the elements up to the stop element.
 func TestTraverseUntilStops(t *testing.T) {
 	cfg := smallCfg()
 	ns := make([]uint32, 500)
@@ -209,10 +212,21 @@ func TestTraverseUntilStops(t *testing.T) {
 		ns[i] = uint32(i)
 	}
 	tr := BulkLoad(ns, cfg)
-	seen := 0
-	done := tr.TraverseUntil(func(u uint32) bool { seen++; return u < 99 })
+	seen, stopped := 0, false
+	done := tr.Blocks(func(bs []uint32) bool {
+		if stopped {
+			t.Fatal("yield called after returning false")
+		}
+		for _, u := range bs {
+			if seen++; u >= 99 {
+				stopped = true
+				return false
+			}
+		}
+		return true
+	})
 	if done || seen != 100 {
-		t.Fatalf("TraverseUntil: done=%v seen=%d", done, seen)
+		t.Fatalf("stop at 99: done=%v seen=%d", done, seen)
 	}
 }
 

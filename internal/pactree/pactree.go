@@ -317,11 +317,6 @@ func (g *Graph) ForEachNeighbor(v uint32, f func(u uint32)) {
 	walkUntil(g.roots[v], func(u uint32) bool { f(u); return true })
 }
 
-// ForEachNeighborUntil applies f in ascending order until it returns false.
-func (g *Graph) ForEachNeighborUntil(v uint32, f func(u uint32) bool) {
-	walkUntil(g.roots[v], f)
-}
-
 // NeighborBlocks yields v's neighbors leaf by leaf in ascending order
 // (engine.NeighborBlocker); each block is one leaf's sorted element array.
 func (g *Graph) NeighborBlocks(v uint32, yield func(block []uint32) bool) {

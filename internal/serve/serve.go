@@ -816,7 +816,7 @@ func (w *shardWriter) release(e *epochSnap) { e.refs.Add(-1) }
 // View is an epoch-pinned, immutable composed view of the Store: one
 // pinned snapshot per shard plus the vertex bound read at acquire time.
 // Every read method (NumVertices, NumEdges, Degree, Neighbors,
-// ForEachNeighbor, ForEachNeighborUntil) and every analytics kernel
+// ForEachNeighbor, NeighborBlocks) and every analytics kernel
 // written against engine.Graph works on it directly, concurrently with
 // ongoing ingestion. Call Release when done; an unreleased View pins its
 // snapshots' buffers for the life of the Store.
@@ -934,16 +934,6 @@ func (v *View) Neighbors(u uint32) []uint32 {
 func (v *View) ForEachNeighbor(u uint32, f func(w uint32)) {
 	for _, n := range v.Neighbors(u) {
 		f(n)
-	}
-}
-
-// ForEachNeighborUntil applies f in ascending order until it returns
-// false.
-func (v *View) ForEachNeighborUntil(u uint32, f func(w uint32) bool) {
-	for _, n := range v.Neighbors(u) {
-		if !f(n) {
-			return
-		}
 	}
 }
 

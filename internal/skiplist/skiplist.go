@@ -208,14 +208,14 @@ func (l *List) Traverse(f func(u uint32)) {
 	}
 }
 
-// TraverseUntil applies f in ascending order until it returns false,
-// reporting whether it ran to completion.
-func (l *List) TraverseUntil(f func(u uint32) bool) bool {
+// Blocks yields each block's keys in ascending order as one non-empty
+// segment aliasing the block's storage, stopping when yield returns false;
+// it reports whether the walk ran to completion. Segments are valid only
+// until yield returns and must not be mutated.
+func (l *List) Blocks(yield func(block []uint32) bool) bool {
 	for b := l.head.next[0]; b != nil; b = b.next[0] {
-		for _, u := range b.keys {
-			if !f(u) {
-				return false
-			}
+		if !yield(b.keys[:len(b.keys):len(b.keys)]) {
+			return false
 		}
 	}
 	return true

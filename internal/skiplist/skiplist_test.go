@@ -126,14 +126,82 @@ func TestDeleteMinDrains(t *testing.T) {
 	}
 }
 
-func TestTraverseUntil(t *testing.T) {
+// TestBlocksConcatenation checks that Blocks yields each skip-list block
+// as one non-empty ascending segment, the segments concatenating to the
+// sorted model under churn.
+func TestBlocksConcatenation(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	l := New(7)
+	model := map[uint32]bool{}
+	for i := 0; i < 6000; i++ {
+		u := uint32(rng.Intn(3000))
+		if rng.Intn(3) == 0 {
+			l.Delete(u)
+			delete(model, u)
+		} else {
+			l.Insert(u)
+			model[u] = true
+		}
+	}
+	want := make([]uint32, 0, len(model))
+	for u := range model {
+		want = append(want, u)
+	}
+	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+	var got []uint32
+	nblocks := 0
+	if !l.Blocks(func(b []uint32) bool {
+		if len(b) == 0 || len(b) > BlockCap {
+			t.Fatalf("block of %d keys", len(b))
+		}
+		nblocks++
+		got = append(got, b...)
+		return true
+	}) {
+		t.Fatal("full walk reported an early stop")
+	}
+	if len(got) != len(want) {
+		t.Fatalf("blocks hold %d keys, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("blocks diverge at %d: %d want %d", i, got[i], want[i])
+		}
+	}
+	if nblocks < 2 {
+		t.Fatalf("%d keys in %d block(s)", len(want), nblocks)
+	}
+}
+
+// TestBlocksEarlyStop stops the walk at several keys: Blocks must report
+// the stop, never call yield again, and have yielded every key up to the
+// stop key in order.
+func TestBlocksEarlyStop(t *testing.T) {
 	l := New(8)
 	for i := uint32(0); i < 500; i++ {
 		l.Insert(i)
 	}
-	seen := 0
-	if l.TraverseUntil(func(u uint32) bool { seen++; return u < 99 }) || seen != 100 {
-		t.Fatalf("TraverseUntil seen=%d", seen)
+	for _, k := range []uint32{0, 99, 128, 499} {
+		next, stopped := uint32(0), false
+		done := l.Blocks(func(b []uint32) bool {
+			if stopped {
+				t.Fatalf("stop at %d: yield called after returning false", k)
+			}
+			for _, u := range b {
+				if u != next {
+					t.Fatalf("stop at %d: got %d, want %d", k, u, next)
+				}
+				if u == k {
+					stopped = true
+					return false
+				}
+				next++
+			}
+			return true
+		})
+		if done || !stopped {
+			t.Fatalf("stop at %d: done=%v stopped=%v", k, done, stopped)
+		}
 	}
 }
 

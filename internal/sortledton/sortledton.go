@@ -88,17 +88,17 @@ func (g *Graph) ForEachNeighbor(v uint32, f func(u uint32)) {
 	}
 }
 
-// ForEachNeighborUntil applies f in ascending order until it returns false.
-func (g *Graph) ForEachNeighborUntil(v uint32, f func(u uint32) bool) {
+// NeighborBlocks yields v's neighbors in ascending order
+// (engine.NeighborBlocker): a low-degree vertex's whole vector as one
+// block, a high-degree vertex's skip list one block node at a time.
+func (g *Graph) NeighborBlocks(v uint32, yield func(block []uint32) bool) {
 	vb := &g.verts[v]
 	if vb.list != nil {
-		vb.list.TraverseUntil(f)
+		vb.list.Blocks(yield)
 		return
 	}
-	for _, u := range vb.vec {
-		if !f(u) {
-			return
-		}
+	if n := len(vb.vec); n > 0 {
+		yield(vb.vec[:n:n])
 	}
 }
 

@@ -84,12 +84,32 @@ func TestVectorToSkipListPromotion(t *testing.T) {
 	}
 }
 
+// TestUntilStops checks that a false yield stops NeighborBlocks on both a
+// vector vertex and a skip-list vertex, mid-way through its blocks.
 func TestUntilStops(t *testing.T) {
 	g := New(64, 1)
-	g.InsertBatch([]uint32{3, 3, 3}, []uint32{10, 20, 30})
-	seen := 0
-	g.ForEachNeighborUntil(3, func(u uint32) bool { seen++; return u < 20 })
-	if seen != 2 {
-		t.Fatalf("Until visited %d", seen)
+	src := []uint32{3, 3, 3}
+	dst := []uint32{10, 20, 30}
+	for u := uint32(100); u < 500; u++ {
+		src, dst = append(src, 4), append(dst, u)
+	}
+	g.InsertBatch(src, dst)
+	for _, tc := range []struct{ v, stop, want uint32 }{{3, 20, 2}, {4, 300, 201}} {
+		seen, stopped := uint32(0), false
+		g.NeighborBlocks(tc.v, func(bs []uint32) bool {
+			if stopped {
+				t.Fatalf("vertex %d: yield called after returning false", tc.v)
+			}
+			for _, u := range bs {
+				if seen++; u >= tc.stop {
+					stopped = true
+					return false
+				}
+			}
+			return true
+		})
+		if seen != tc.want {
+			t.Fatalf("vertex %d: Until visited %d, want %d", tc.v, seen, tc.want)
+		}
 	}
 }

@@ -1,10 +1,12 @@
 // Package terrace's test file doubles as the cross-engine conformance
 // suite: after identical random batch schedules, every engine (Terrace,
-// Aspen, PaC-tree, LSGraph) must report identical neighbor sequences,
-// degrees, and edge counts, all matching the oracle.
+// Aspen, PaC-tree, Sortledton, LSGraph) must report identical neighbor
+// sequences, through both ForEachNeighbor and NeighborBlocks, degrees, and
+// edge counts, all matching the oracle.
 package terrace_test
 
 import (
+	"sync"
 	"testing"
 
 	"lsgraph/internal/aspen"
@@ -13,6 +15,7 @@ import (
 	"lsgraph/internal/gen"
 	"lsgraph/internal/pactree"
 	"lsgraph/internal/refgraph"
+	"lsgraph/internal/sortledton"
 	"lsgraph/internal/terrace"
 )
 
@@ -22,6 +25,7 @@ func engines(n uint32, workers int) []engine.Engine {
 		terrace.New(n, workers),
 		aspen.New(n, workers),
 		pactree.New(n, workers),
+		sortledton.New(n, workers),
 	}
 }
 
@@ -30,7 +34,6 @@ func checkEngine(t *testing.T, e engine.Engine, ref *refgraph.Graph) {
 	if e.NumEdges() != ref.NumEdges() {
 		t.Fatalf("%s: NumEdges %d want %d", e.Name(), e.NumEdges(), ref.NumEdges())
 	}
-	bg, hasBlocks := e.(engine.NeighborBlocker)
 	for v := uint32(0); v < ref.NumVertices(); v++ {
 		if e.Degree(v) != ref.Degree(v) {
 			t.Fatalf("%s: Degree(%d)=%d want %d", e.Name(), v, e.Degree(v), ref.Degree(v))
@@ -46,13 +49,10 @@ func checkEngine(t *testing.T, e engine.Engine, ref *refgraph.Graph) {
 					e.Name(), v, i, got[i], want[i])
 			}
 		}
-		if !hasBlocks {
-			continue
-		}
 		// The block read path must re-segment the per-edge traversal
 		// exactly: non-empty blocks whose concatenation equals want.
 		i := 0
-		bg.NeighborBlocks(v, func(bs []uint32) bool {
+		e.NeighborBlocks(v, func(bs []uint32) bool {
 			if len(bs) == 0 {
 				t.Fatalf("%s: vertex %d yielded an empty block", e.Name(), v)
 			}
@@ -205,5 +205,109 @@ func TestEngineMemoryOrdering(t *testing.T) {
 	if tr.MemoryUsage() <= ls.MemoryUsage() {
 		t.Fatalf("expected Terrace (%d B) above LSGraph (%d B)",
 			tr.MemoryUsage(), ls.MemoryUsage())
+	}
+}
+
+// terraceMixed returns a Terrace graph whose vertex 1 keeps its overflow in
+// the shared PMA (several decode chunks long), vertex 2 in a B-tree, and
+// vertices 3.. inline only, plus the oracle holding the same edges.
+func terraceMixed(t *testing.T) (*terrace.Graph, *refgraph.Graph) {
+	t.Helper()
+	const n = 4096
+	g := terrace.New(n, 2)
+	ref := refgraph.New(n)
+	var src, dst []uint32
+	add := func(v, u uint32) {
+		src, dst = append(src, v), append(dst, u)
+		ref.Insert(v, u)
+	}
+	for u := uint32(0); u < 900; u++ {
+		add(1, 3*u+5)
+	}
+	for u := uint32(0); u < 3000; u++ {
+		add(2, u+7)
+	}
+	for v := uint32(3); v < 200; v++ {
+		add(v, v+1)
+		add(v, v+9)
+	}
+	g.InsertBatch(src, dst)
+	return g, ref
+}
+
+// TestTerraceBlocksEarlyStop stops the block walk of inline, PMA and
+// B-tree vertices at several elements, including ones deep in the PMA run
+// past its first decode chunk: the walk must end at the block holding the
+// stop element and never call yield again.
+func TestTerraceBlocksEarlyStop(t *testing.T) {
+	g, ref := terraceMixed(t)
+	for _, v := range []uint32{1, 2, 3} {
+		deg := int(ref.Degree(v))
+		for _, k := range []int{0, 12, 13, 300, 700, deg - 1} {
+			if k >= deg {
+				continue
+			}
+			seen, stopped := 0, false
+			g.NeighborBlocks(v, func(bs []uint32) bool {
+				if stopped {
+					t.Fatalf("vertex %d stop at %d: yield called after returning false", v, k)
+				}
+				if seen+len(bs) > k {
+					if bs[k-seen] != ref.Neighbors(v)[k] {
+						t.Fatalf("vertex %d: element %d is %d, want %d", v, k, bs[k-seen], ref.Neighbors(v)[k])
+					}
+					stopped = true
+					return false
+				}
+				seen += len(bs)
+				return true
+			})
+			if !stopped {
+				t.Fatalf("vertex %d: walk ended before element %d of %d", v, k, deg)
+			}
+		}
+	}
+}
+
+// TestTerraceBlocksConcurrent reads every vertex's blocks from several
+// goroutines at once, as parallel kernels do: each reader decodes the PMA
+// into its own pooled scratch, so every walk must still match the oracle.
+func TestTerraceBlocksConcurrent(t *testing.T) {
+	g, ref := terraceMixed(t)
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for v := uint32(0); v < 256; v++ {
+				want := ref.Neighbors(v)
+				i := 0
+				g.NeighborBlocks(v, func(bs []uint32) bool {
+					for _, u := range bs {
+						if i >= len(want) || want[i] != u {
+							i = -1
+							return false
+						}
+						i++
+					}
+					return true
+				})
+				if i != len(want) {
+					t.Errorf("vertex %d: concurrent block walk diverged from the oracle", v)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestTerraceBlocksReuseScratch checks that walking a PMA vertex's blocks
+// reuses pooled decode scratch instead of allocating it on every call.
+func TestTerraceBlocksReuseScratch(t *testing.T) {
+	g, _ := terraceMixed(t)
+	yield := func([]uint32) bool { return true }
+	if a := testing.AllocsPerRun(100, func() { g.NeighborBlocks(1, yield) }); a != 0 {
+		t.Fatalf("NeighborBlocks on a PMA vertex allocates %v times per call", a)
 	}
 }

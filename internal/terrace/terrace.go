@@ -189,20 +189,22 @@ func (g *Graph) ForEachNeighbor(v uint32, f func(u uint32)) {
 	})
 }
 
-// ForEachNeighborUntil applies f in ascending order until it returns false.
-func (g *Graph) ForEachNeighborUntil(v uint32, f func(u uint32) bool) {
+// NeighborBlocks yields v's out-neighbors in ascending order
+// (engine.NeighborBlocker): the inline slots as one block, then either the
+// B-tree node by node or the vertex's run of the shared PMA. PMA keys pack
+// (v, u) into a uint64, so that run is decoded into pooled scratch in
+// chunks of at most pmaChunk neighbors, each yielded as one block.
+func (g *Graph) NeighborBlocks(v uint32, yield func(block []uint32) bool) {
 	vb := &g.verts[v]
 	n := vb.inlineLen()
-	for i := 0; i < n; i++ {
-		if !f(vb.inline[i]) {
-			return
-		}
+	if n > 0 && !yield(vb.inline[:n:n]) {
+		return
 	}
 	if vb.deg <= inlineCap {
 		return
 	}
 	if vb.tree != nil {
-		vb.tree.TraverseUntil(f)
+		vb.tree.Blocks(yield)
 		return
 	}
 	sh := g.shardOf(v)
@@ -210,10 +212,33 @@ func (g *Graph) ForEachNeighborUntil(v uint32, f func(u uint32) bool) {
 	if !ok {
 		return
 	}
+	sp := pmaScratch.Get().(*[]uint32)
+	buf, more := (*sp)[:0], true
 	sh.p.IterateFrom(int(start), func(_ int, k uint64) bool {
-		return uint32(k>>32) == v && f(uint32(k))
+		if uint32(k>>32) != v {
+			return false
+		}
+		if buf = append(buf, uint32(k)); len(buf) == pmaChunk {
+			more = yield(buf)
+			buf = buf[:0]
+		}
+		return more
 	})
+	if k := len(buf); more && k > 0 {
+		yield(buf[:k:k])
+	}
+	pmaScratch.Put(sp)
 }
+
+// pmaChunk bounds the decoded PMA block NeighborBlocks yields at once.
+const pmaChunk = 256
+
+// pmaScratch pools the decode buffers of NeighborBlocks, so concurrent
+// readers each hold their own and no call allocates one in steady state.
+var pmaScratch = sync.Pool{New: func() any {
+	b := make([]uint32, 0, pmaChunk)
+	return &b
+}}
 
 // insertOne adds edge (v,u) under the vertex's shard lock where needed.
 func (g *Graph) insertOne(v, u uint32) bool {

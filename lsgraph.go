@@ -65,13 +65,14 @@ type Reader interface {
 	ForEachNeighbor(v uint32, f func(u uint32))
 }
 
-// BlockReader is the optional block-granular read path: a Reader whose
-// adjacency lives in contiguous memory can yield it as slices instead of
-// one callback per edge, removing an interface dispatch plus a closure
-// call per edge from every kernel. *Graph, *Store, *StoreView, and
-// Graph.Snapshot's view all implement it; the kernels and EdgeMap detect
-// it once per run and fall back to ForEachNeighbor otherwise, so Reader
-// stays the compatibility surface.
+// BlockReader is the block-granular read path: a Reader whose adjacency
+// lives in contiguous memory yields it as slices instead of one callback
+// per edge, removing an interface dispatch plus a closure call per edge
+// from every kernel. *Graph, *Store, *StoreView, and Graph.Snapshot's view
+// all implement it. The kernels and EdgeMap have one edge loop over
+// blocks: they walk a BlockReader's blocks directly, and for a Reader
+// without NeighborBlocks they gather each vertex's neighbors through
+// ForEachNeighbor into one scratch block, so any Reader still works.
 type BlockReader interface {
 	Reader
 	// NeighborBlocks yields v's adjacency as non-empty ascending []uint32

@@ -4,7 +4,10 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"lsgraph/internal/core"
 	"lsgraph/internal/gen"
+	"lsgraph/internal/parallel"
+	"lsgraph/internal/refgraph"
 )
 
 func symEdges(t *testing.T, scale uint, m int, seed uint64) []Edge {
@@ -90,9 +93,20 @@ func TestAlgorithmsRunViaFacade(t *testing.T) {
 
 func TestEdgeMapBFS(t *testing.T) {
 	// A BFS built from the public EdgeMap primitive must agree with the
-	// built-in BFS on reachability.
-	es := symEdges(t, 8, 1500, 9)
-	g := NewFromEdges(256, es)
+	// built-in BFS on every vertex's level.
+	g := NewFromEdges(256, symEdges(t, 8, 1500, 9))
+	depth := edgeMapLevels(g)
+	want := BFSLevels(g, 0)
+	for v := range want {
+		if want[v] != depth[v] {
+			t.Fatalf("EdgeMap BFS level differs at %d: %d vs %d", v, depth[v], want[v])
+		}
+	}
+}
+
+// edgeMapLevels runs a level-synchronous BFS from 0 built on EdgeMap and
+// returns each vertex's depth, -1 if unreached.
+func edgeMapLevels(g Reader) []int32 {
 	n := g.NumVertices()
 	depth := make([]int32, n)
 	for i := range depth {
@@ -100,22 +114,75 @@ func TestEdgeMapBFS(t *testing.T) {
 	}
 	depth[0] = 0
 	frontier := NewVertexSubset(n, 0)
-	level := int32(0)
-	for !frontier.IsEmpty() {
-		level++
-		lv := level
+	for lv := int32(1); !frontier.IsEmpty(); lv++ {
 		frontier = EdgeMap(g, frontier,
 			func(u uint32) bool { return atomic.LoadInt32(&depth[u]) == -1 },
-			func(v, u uint32) bool {
-				// update runs concurrently, so it must be atomic (EdgeMap's
-				// contract): one CAS claims u for this level.
-				return atomic.CompareAndSwapInt32(&depth[u], -1, lv)
-			})
+			func(v, u uint32) bool { return atomic.CompareAndSwapInt32(&depth[u], -1, lv) })
 	}
-	want := BFSLevels(g, 0)
-	for v := range want {
-		if (want[v] == -1) != (depth[v] == -1) {
-			t.Fatalf("EdgeMap BFS reachability differs at %d", v)
+	return depth
+}
+
+// edgeMapHits maps every vertex's edges once, with a cond that filters
+// out targets divisible by 3, and returns how many times each target was
+// updated plus the output subset.
+func edgeMapHits(g Reader) ([]int32, []uint32) {
+	n := g.NumVertices()
+	all := make([]uint32, n)
+	for v := range all {
+		all[v] = uint32(v)
+	}
+	hits := make([]int32, n)
+	out := EdgeMap(g, NewVertexSubset(n, all...),
+		func(u uint32) bool { return u%3 != 0 },
+		func(v, u uint32) bool { atomic.AddInt32(&hits[u], 1); return true })
+	return hits, out.Vertices()
+}
+
+// TestEdgeMapMatchesNativeAndFallback runs EdgeMap on the engine's native
+// block path (inline, array, RIA and HITree storage) and on a
+// callback-only copy of the same edges (one scratch block per vertex) at 1
+// and 4 workers. Both must give identical BFS levels, and a map over every
+// edge must update each target once per in-edge on both.
+func TestEdgeMapMatchesNativeAndFallback(t *testing.T) {
+	const n = 512
+	es := symEdges(t, 9, 4000, 77)
+	g := core.New(n, core.Config{Workers: 2, ArrayMax: 8, M: 64})
+	ref := refgraph.New(n)
+	src := make([]uint32, len(es))
+	dst := make([]uint32, len(es))
+	for i, e := range es {
+		src[i], dst[i] = e.Src, e.Dst
+		ref.Insert(e.Src, e.Dst)
+	}
+	g.InsertBatch(src, dst)
+	defer func(p int) { parallel.Procs = p }(parallel.Procs)
+	for _, p := range []int{1, 4} {
+		parallel.Procs = p
+		lvN, lvF := edgeMapLevels(g), edgeMapLevels(ref)
+		for v := range lvN {
+			if lvN[v] != lvF[v] {
+				t.Fatalf("p=%d: EdgeMap BFS level differs at %d: %d vs %d", p, v, lvN[v], lvF[v])
+			}
+		}
+		hitsN, outN := edgeMapHits(g)
+		hitsF, outF := edgeMapHits(ref)
+		for u := range hitsN {
+			want := int32(ref.Degree(uint32(u))) // symmetric: in-degree
+			if u%3 == 0 {
+				want = 0
+			}
+			if hitsN[u] != want || hitsF[u] != want {
+				t.Fatalf("p=%d: target %d updated %d (native) / %d (fallback) times, want %d",
+					p, u, hitsN[u], hitsF[u], want)
+			}
+		}
+		if len(outN) != len(outF) {
+			t.Fatalf("p=%d: output subsets hold %d vs %d vertices", p, len(outN), len(outF))
+		}
+		for i := range outN {
+			if outN[i] != outF[i] {
+				t.Fatalf("p=%d: output subsets differ at %d", p, i)
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package lsgraph_test
 import (
 	"bytes"
 	"encoding/json"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -67,5 +68,51 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 	if v, ok := snap[`lsgraph_edges_changed_total{op="insert"}`].(float64); !ok || v < float64(len(es)) {
 		t.Errorf("edges inserted metric %v, want >= %d", v, len(es))
+	}
+}
+
+// promValue returns the value of the Prometheus series named exactly
+// series (name plus labels), or 0 when it has not been exported yet.
+func promValue(t *testing.T, series string) float64 {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := lsgraph.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(buf.String(), "\n") {
+		if rest, ok := strings.CutPrefix(line, series+" "); ok {
+			v, err := strconv.ParseFloat(strings.TrimSpace(rest), 64)
+			if err != nil {
+				t.Fatalf("series %s: %v", series, err)
+			}
+			return v
+		}
+	}
+	return 0
+}
+
+// TestPageRankOnEmptyStoreIsRecorded runs PageRank on a view of a freshly
+// created, still-empty Store (what a kernel request to a new lsgraphd
+// graph does) and requires the run to be counted like any other kernel run.
+func TestPageRankOnEmptyStoreIsRecorded(t *testing.T) {
+	prev := lsgraph.MetricsEnabled()
+	lsgraph.EnableMetrics(true)
+	defer lsgraph.EnableMetrics(prev)
+
+	st := lsgraph.NewStore(0)
+	defer st.Close()
+	v := st.View()
+	defer v.Release()
+	if n := v.NumVertices(); n != 0 {
+		t.Fatalf("fresh store has %d vertices, want 0", n)
+	}
+
+	const series = `lsgraph_algo_nanos_count{kernel="pagerank"}`
+	before := promValue(t, series)
+	if rank := lsgraph.PageRank(v, 5); len(rank) != 0 {
+		t.Fatalf("PageRank on an empty graph returned %d ranks", len(rank))
+	}
+	if after := promValue(t, series); after != before+1 {
+		t.Fatalf("%s went %v -> %v, want one more run", series, before, after)
 	}
 }

@@ -8,7 +8,11 @@
 #        pace -- raise it for trustworthy numbers).
 #        BENCHPKGS="./internal/algo"  override the package list.
 #        BENCHPAT='NeighborIteration|Kernel'  override the -bench pattern
-#        (default ".", everything in the selected packages).
+#        (default ".", everything in the selected packages). With
+#        BENCHPKGS=./internal/algo that pattern is `make bench-analytics`:
+#        one key per BenchmarkKernel* (each kernel has one body, so there
+#        are no blocks/ or callback/ sub-keys) plus the storage-level
+#        BenchmarkNeighborIteration/<shape>/{callback,blocks} pairs.
 set -eu
 
 cd "$(dirname "$0")/.."

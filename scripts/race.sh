@@ -2,8 +2,10 @@
 # race.sh -- the single source of truth for the race-detector package list:
 # every package with real cross-goroutine traffic (the sharded serving
 # layer, the per-shard WAL with its group-commit goroutine, the batch
-# pipeline, the worker pool, and the sharded metrics registry). Both `make race` and scripts/verify.sh run this script, so the
-# list cannot drift between them.
+# pipeline, the worker pool, the sharded metrics registry, and Terrace's
+# concurrent block reads over pooled PMA decode scratch). Both `make race`
+# and scripts/verify.sh run this script, so the list cannot drift between
+# them.
 #
 # Usage: scripts/race.sh [extra go-test flags...]
 set -eu
@@ -21,4 +23,5 @@ go test -race "$@" \
 	lsgraph/internal/algo \
 	lsgraph/internal/gen \
 	lsgraph/internal/httpserve \
+	lsgraph/internal/terrace \
 	lsgraph
