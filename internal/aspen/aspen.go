@@ -3,6 +3,7 @@ package aspen
 import (
 	"sync/atomic"
 
+	"lsgraph/internal/batch"
 	"lsgraph/internal/parallel"
 )
 
@@ -17,6 +18,7 @@ type Graph struct {
 	degs    []uint32
 	m       atomic.Uint64
 	workers int
+	prep    batch.Scratch
 }
 
 // New returns an empty Aspen engine with n vertex slots.
@@ -60,42 +62,22 @@ func (g *Graph) applyBatch(src, dst []uint32, ins bool) {
 	if len(src) == 0 {
 		return
 	}
-	ks := make([]uint64, len(src))
-	for i := range src {
-		ks[i] = uint64(src[i])<<32 | uint64(dst[i])
-	}
-	parallel.SortUint64(ks, g.workers)
-	w := 0
-	for i, k := range ks {
-		if i > 0 && k == ks[i-1] {
-			continue
-		}
-		ks[w] = k
-		w++
-	}
-	ks = ks[:w]
-	type group struct{ lo, hi int }
-	var groups []group
-	for i := 0; i < len(ks); {
-		v := uint32(ks[i] >> 32)
-		j := i
-		for j < len(ks) && uint32(ks[j]>>32) == v {
-			j++
-		}
-		groups = append(groups, group{lo: i, hi: j})
-		i = j
+	ks, groups := g.prep.Prepare(src, dst, g.NumVertices(), g.workers)
+	bulk := batch.Subtract
+	if ins {
+		bulk = batch.Merge
 	}
 	var delta atomic.Int64
 	parallel.ForBlocked(len(groups), g.workers, func(gi int) {
 		gr := groups[gi]
-		v := uint32(ks[gr.lo] >> 32)
-		gl := gr.hi - gr.lo
+		v := gr.V
+		gl := gr.Hi - gr.Lo
 		var d int64
 		if gl >= 32 && gl*4 >= int(g.degs[v]) {
-			d = g.applyGroupBulk(v, ks[gr.lo:gr.hi], ins)
+			d = g.applyGroupBulk(v, ks[gr.Lo:gr.Hi], bulk)
 		} else {
 			root := g.roots[v]
-			for i := gr.lo; i < gr.hi; i++ {
+			for i := gr.Lo; i < gr.Hi; i++ {
 				u := uint32(ks[i])
 				var ok bool
 				if ins {
@@ -118,48 +100,13 @@ func (g *Graph) applyBatch(src, dst []uint32, ins bool) {
 	g.m.Add(uint64(delta.Load()))
 }
 
-// applyGroupBulk merges (or subtracts) a sorted group into vertex v's set
-// with a flat merge and rebuilds the tree, Aspen's bulk-union analogue.
-func (g *Graph) applyGroupBulk(v uint32, ks []uint64, ins bool) int64 {
+// applyGroupBulk merges (or subtracts, per kernel) a sorted group into
+// vertex v's set with a flat pass and rebuilds the tree, Aspen's
+// bulk-union analogue.
+func (g *Graph) applyGroupBulk(v uint32, ks []uint64, kernel func(dst, old []uint32, ks []uint64) []uint32) int64 {
 	old := make([]uint32, 0, int(g.degs[v])+len(ks))
 	walkUntil(g.roots[v], func(u uint32) bool { old = append(old, u); return true })
-	var merged []uint32
-	if ins {
-		merged = make([]uint32, 0, len(old)+len(ks))
-		i, j := 0, 0
-		for i < len(old) && j < len(ks) {
-			a, b := old[i], uint32(ks[j])
-			switch {
-			case a < b:
-				merged = append(merged, a)
-				i++
-			case a > b:
-				merged = append(merged, b)
-				j++
-			default:
-				merged = append(merged, a)
-				i++
-				j++
-			}
-		}
-		merged = append(merged, old[i:]...)
-		for ; j < len(ks); j++ {
-			merged = append(merged, uint32(ks[j]))
-		}
-	} else {
-		merged = make([]uint32, 0, len(old))
-		j := 0
-		for _, a := range old {
-			for j < len(ks) && uint32(ks[j]) < a {
-				j++
-			}
-			if j < len(ks) && uint32(ks[j]) == a {
-				j++
-				continue
-			}
-			merged = append(merged, a)
-		}
-	}
+	merged := kernel(nil, old, ks)
 	g.roots[v] = build(merged)
 	g.degs[v] = uint32(len(merged))
 	return int64(len(merged)) - int64(len(old))

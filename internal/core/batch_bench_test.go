@@ -41,11 +41,11 @@ func BenchmarkInsertBatchPrepare(b *testing.B) {
 			b.SetBytes(int64(8 * m))
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				g.packKeys(&g.shards[0], src, dst, p)
+				g.shards[0].prep.Pack(src, dst, nv, p)
 			}
 		})
 		b.Run(fmt.Sprintf("phase=sort/p=%d", p), func(b *testing.B) {
-			packed := g.packKeys(&g.shards[0], src, dst, p)
+			packed := g.shards[0].prep.Pack(src, dst, nv, p)
 			base := append([]uint64(nil), packed...)
 			ks := make([]uint64, len(base))
 			b.SetBytes(int64(8 * m))
@@ -57,7 +57,7 @@ func BenchmarkInsertBatchPrepare(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("phase=group/p=%d", p), func(b *testing.B) {
-			packed := g.packKeys(&g.shards[0], src, dst, p)
+			packed := g.shards[0].prep.Pack(src, dst, nv, p)
 			sorted := append([]uint64(nil), packed...)
 			parallel.SortUint64(sorted, p)
 			ks := make([]uint64, len(sorted))
@@ -66,7 +66,7 @@ func BenchmarkInsertBatchPrepare(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				copy(ks, sorted)
-				dedupGroup(&g.shards[0], ks, p)
+				g.shards[0].prep.Group(ks, p, nil)
 			}
 		})
 	}

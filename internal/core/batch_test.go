@@ -1,12 +1,11 @@
 package core
 
 import (
-	"math/rand"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
 
+	"lsgraph/internal/batch"
 	"lsgraph/internal/gen"
 	"lsgraph/internal/refgraph"
 )
@@ -49,7 +48,7 @@ func TestOneVertexOneWorker(t *testing.T) {
 	const nv = 1 << 12
 	g := New(nv, Config{Workers: 8})
 	rm := gen.NewRMatPaper(12, 7)
-	es := rm.Edges(200000) // far above parPrepMin and the parallel-sort floor
+	es := rm.Edges(200000) // far above batch.ParallelMin and the parallel-sort floor
 	src := make([]uint32, len(es))
 	dst := make([]uint32, len(es))
 	for i, e := range es {
@@ -60,9 +59,9 @@ func TestOneVertexOneWorker(t *testing.T) {
 		t.Fatal("no groups")
 	}
 	for i := 1; i < len(groups); i++ {
-		if groups[i].v <= groups[i-1].v {
+		if groups[i].V <= groups[i-1].V {
 			t.Fatalf("groups not strictly ascending by vertex: %d then %d",
-				groups[i-1].v, groups[i].v)
+				groups[i-1].V, groups[i].V)
 		}
 	}
 
@@ -73,7 +72,7 @@ func TestOneVertexOneWorker(t *testing.T) {
 		mu.Lock()
 		defer mu.Unlock()
 		applied[gi]++
-		v := groups[gi].v
+		v := groups[gi].V
 		if prev, seen := vertexWorker[v]; seen && prev != w {
 			t.Errorf("vertex %d touched by workers %d and %d", v, prev, w)
 		}
@@ -94,51 +93,6 @@ func TestOneVertexOneWorker(t *testing.T) {
 	if len(workers) < 2 {
 		t.Logf("note: only %d worker(s) made claims (single-core machine?)", len(workers))
 	}
-}
-
-// TestDedupGroupParallelMatchesSequential checks the two dedup + group
-// discovery implementations against each other on skewed sorted keys with
-// heavy duplication.
-func TestDedupGroupParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for _, n := range []int{parPrepMin, parPrepMin * 4, 100000} {
-		ks := make([]uint64, n)
-		for i := range ks {
-			v := uint64(rng.Intn(300)) // few sources -> big skewed groups
-			d := uint64(rng.Intn(2000))
-			ks[i] = v<<32 | d
-		}
-		sortU64(ks)
-
-		gSeq := New(1, Config{Workers: 1})
-		wantKeys, wantGroups := dedupGroupSeq(&gSeq.shards[0], append([]uint64(nil), ks...))
-
-		for _, p := range []int{2, 3, 8} {
-			gPar := New(1, Config{Workers: p})
-			gotKeys, gotGroups := dedupGroup(&gPar.shards[0], append([]uint64(nil), ks...), p)
-			if len(gotKeys) != len(wantKeys) {
-				t.Fatalf("n=%d p=%d: %d keys want %d", n, p, len(gotKeys), len(wantKeys))
-			}
-			for i := range wantKeys {
-				if gotKeys[i] != wantKeys[i] {
-					t.Fatalf("n=%d p=%d: key %d got %d want %d", n, p, i, gotKeys[i], wantKeys[i])
-				}
-			}
-			if len(gotGroups) != len(wantGroups) {
-				t.Fatalf("n=%d p=%d: %d groups want %d", n, p, len(gotGroups), len(wantGroups))
-			}
-			for i := range wantGroups {
-				if gotGroups[i] != wantGroups[i] {
-					t.Fatalf("n=%d p=%d: group %d got %+v want %+v",
-						n, p, i, gotGroups[i], wantGroups[i])
-				}
-			}
-		}
-	}
-}
-
-func sortU64(ks []uint64) {
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
 }
 
 // TestParallelPrepareLargeBatchMatchesOracle pushes batches big enough to
@@ -184,7 +138,7 @@ func TestParallelPrepareLargeBatchMatchesOracle(t *testing.T) {
 func TestPackKeysOutOfRangeParallel(t *testing.T) {
 	const nv = 64
 	g := New(nv, Config{Workers: 8})
-	n := 3 * parPrepMin
+	n := 3 * batch.ParallelMin
 	src := make([]uint32, n)
 	dst := make([]uint32, n)
 	for i := range src {

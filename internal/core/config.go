@@ -53,9 +53,6 @@ type Config struct {
 	// internal nodes inside HITree; the ablation isolating the learned
 	// index's contribution.
 	DisableModel bool
-	// NoBulkRebuild disables the merge-and-rebuild fast path for large
-	// per-vertex update groups, forcing element-at-a-time insertion.
-	NoBulkRebuild bool
 }
 
 func (c *Config) sanitize() {

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"lsgraph/internal/gen"
+	"lsgraph/internal/obs"
 	"lsgraph/internal/refgraph"
 )
 
@@ -155,21 +156,85 @@ func TestRandomBatchesAgainstOracle(t *testing.T) {
 	checkAgainstOracle(t, g, ref)
 }
 
+// TestBulkVsSingleInsertEquivalence applies the same inserts and then the
+// same deletes to two engines: one takes each as a single batch, so hub
+// vertices' groups take the merge-and-rebuild path, and the other takes
+// them in chunks whose per-vertex groups stay under bulkMin edges, so
+// every group takes the per-edge path. Both must match the oracle after
+// each step, and the obs group-path counters must show which path ran.
 func TestBulkVsSingleInsertEquivalence(t *testing.T) {
+	prev := obs.Enabled()
+	obs.SetEnabled(true)
+	defer obs.SetEnabled(prev)
+
 	rm := gen.NewRMatPaper(9, 7)
-	es := rm.Edges(20000)
+	ins := rm.Edges(20000)
+	// Delete whole adjacencies of even sources (bulk-sized groups on the
+	// hubs) and every third edge of odd ones.
+	var del []gen.Edge
+	for i, e := range ins {
+		if e.Src%2 == 0 || i%3 == 0 {
+			del = append(del, e)
+		}
+	}
 	bulk := New(512, Config{M: 128})
-	single := New(512, Config{M: 128, NoBulkRebuild: true})
+	single := New(512, Config{M: 128})
 	ref := refgraph.New(512)
-	applyInserts(bulk, ref, es)
-	src := make([]uint32, len(es))
-	dst := make([]uint32, len(es))
+	for _, step := range []struct {
+		name string
+		op   func(*Graph, []uint32, []uint32)
+		ref  func(*refgraph.Graph, uint32, uint32) bool
+		es   []gen.Edge
+	}{
+		{"insert", (*Graph).InsertBatch, (*refgraph.Graph).Insert, ins},
+		{"delete", (*Graph).DeleteBatch, (*refgraph.Graph).Delete, del},
+	} {
+		b0 := obsGroupsBulk.Value()
+		src, dst := splitEdges(step.es)
+		step.op(bulk, src, dst)
+		if obsGroupsBulk.Value() == b0 {
+			t.Fatalf("%s: the one-batch engine applied no group in bulk", step.name)
+		}
+		b0 = obsGroupsBulk.Value()
+		for _, c := range perEdgeChunks(step.es) {
+			src, dst := splitEdges(c)
+			step.op(single, src, dst)
+		}
+		if obsGroupsBulk.Value() != b0 {
+			t.Fatalf("%s: the chunked engine applied a group in bulk", step.name)
+		}
+		for _, e := range step.es {
+			step.ref(ref, e.Src, e.Dst)
+		}
+		checkAgainstOracle(t, bulk, ref)
+		checkAgainstOracle(t, single, ref)
+	}
+}
+
+// perEdgeChunks splits es into batches in which no source vertex has
+// bulkMin or more edges: the k-th occurrence of a source goes to chunk
+// k/(bulkMin-1).
+func perEdgeChunks(es []gen.Edge) [][]gen.Edge {
+	seen := map[uint32]int{}
+	var chunks [][]gen.Edge
+	for _, e := range es {
+		c := seen[e.Src] / (bulkMin - 1)
+		seen[e.Src]++
+		for len(chunks) <= c {
+			chunks = append(chunks, nil)
+		}
+		chunks[c] = append(chunks[c], e)
+	}
+	return chunks
+}
+
+func splitEdges(es []gen.Edge) (src, dst []uint32) {
+	src = make([]uint32, len(es))
+	dst = make([]uint32, len(es))
 	for i, e := range es {
 		src[i], dst[i] = e.Src, e.Dst
 	}
-	single.InsertBatch(src, dst)
-	checkAgainstOracle(t, bulk, ref)
-	checkAgainstOracle(t, single, ref)
+	return src, dst
 }
 
 func TestAblationConfigsMatchOracle(t *testing.T) {

@@ -150,14 +150,6 @@ func (g *Graph) vb(v uint32) *vertex {
 	return &sh.verts[lv]
 }
 
-// mustVB is vb for update paths, where routing plus EnsureVertices
-// guarantee the slot exists; a miss here is a routing bug and panics via
-// the slice bounds check.
-func (g *Graph) mustVB(v uint32) *vertex {
-	sh, lv := g.locate(v)
-	return &sh.verts[lv]
-}
-
 // NumEdges returns the number of directed edges stored, summed over
 // shards.
 func (g *Graph) NumEdges() uint64 {

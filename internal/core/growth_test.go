@@ -32,20 +32,22 @@ func TestEnsureVerticesGrows(t *testing.T) {
 }
 
 func TestOutOfRangePanicsWithClearMessage(t *testing.T) {
-	g := New(4, Config{})
-	for _, edge := range [][2]uint32{{7, 1}, {1, 7}} {
-		func() {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("edge %v: expected panic", edge)
-				}
-				if !strings.Contains(r.(string), "EnsureVertices") {
-					t.Fatalf("edge %v: uninformative panic %v", edge, r)
-				}
+	for _, shards := range []int{1, 2} { // 2: the scattered path checks up front
+		g := New(4, Config{Shards: shards})
+		for _, edge := range [][2]uint32{{7, 1}, {1, 7}} {
+			func() {
+				defer func() {
+					r := recover()
+					if r == nil {
+						t.Fatalf("shards=%d edge %v: expected panic", shards, edge)
+					}
+					if !strings.Contains(r.(string), "EnsureVertices") {
+						t.Fatalf("shards=%d edge %v: uninformative panic %v", shards, edge, r)
+					}
+				}()
+				g.InsertBatch([]uint32{edge[0]}, []uint32{edge[1]})
 			}()
-			g.InsertBatch([]uint32{edge[0]}, []uint32{edge[1]})
-		}()
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"sync/atomic"
 
+	"lsgraph/internal/batch"
 	"lsgraph/internal/parallel"
 )
 
@@ -18,7 +19,8 @@ type shardState struct {
 	idx   int32 // position in Graph.shards, for flight-recorder attribution
 	verts []vertex
 	m     atomic.Uint64
-	prep  prepScratch
+	prep  batch.Scratch
+	order []uint64 // apply schedule keys, size<<32 | group index
 	apply []applyScratch
 
 	// last is the shard's most recent snapshot and dirty a bitmap (bit i
@@ -51,18 +53,12 @@ func (sh *shardState) ensure(n int) {
 // markDirty records that the groups' source vertices changed since the
 // shard's last snapshot. Slots beyond the bitmap lie past last's vertex
 // count and are re-materialized by the next snapshot regardless.
-func (sh *shardState) markDirty(groups []group) {
+func (sh *shardState) markDirty(groups []batch.Group) {
 	for _, gr := range groups {
-		if i := gr.v - sh.base; int(i>>6) < len(sh.dirty) {
+		if i := gr.V - sh.base; int(i>>6) < len(sh.dirty) {
 			sh.dirty[i>>6] |= 1 << (i & 63)
 		}
 	}
-}
-
-// subEdges subtracts removed from the shard's edge counter (two's-
-// complement add, since atomic.Uint64 has no Sub).
-func (sh *shardState) subEdges(removed uint64) {
-	sh.m.Add(^removed + 1)
 }
 
 // NumShards returns the number of vertex-range partitions (Config.Shards).
@@ -88,9 +84,9 @@ func (g *Graph) shardWorkers() int {
 
 // Shard is a handle on one vertex-range partition, exposing the per-shard
 // update/snapshot surface that internal/serve builds its shard writers on.
-// Methods that mutate (EnsureVertices, InsertBatch, DeleteBatch,
-// SnapshotInto) must be serialized per shard — one owner goroutine per
-// shard — but different shards' owners may run them concurrently.
+// Methods that mutate (EnsureVertices, Apply, SnapshotInto) must be
+// serialized per shard — one owner goroutine per shard — but different
+// shards' owners may run them concurrently.
 type Shard struct {
 	g  *Graph
 	sh *shardState
@@ -128,19 +124,14 @@ func (s Shard) EnsureVertices(n uint32) {
 	s.sh.ensure(g.pmap.Load().RangeLen(int(s.sh.idx), n))
 }
 
-// InsertBatch adds the directed edges (src[i] -> dst[i]), all of whose
-// sources must belong to this shard (route with ScatterBatch). Duplicate
-// and already-present edges are ignored.
-func (s Shard) InsertBatch(src, dst []uint32) {
-	validateBatch("InsertBatch", src, dst)
-	s.g.insertBatchShard(s.sh, src, dst, s.g.shardWorkers())
-}
-
-// DeleteBatch removes the directed edges (src[i] -> dst[i]), all of whose
-// sources must belong to this shard. Absent edges are ignored.
-func (s Shard) DeleteBatch(src, dst []uint32) {
-	validateBatch("DeleteBatch", src, dst)
-	s.g.deleteBatchShard(s.sh, src, dst, s.g.shardWorkers())
+// Apply inserts or deletes (per op) the directed edges (src[i] ->
+// dst[i]), all of whose sources must belong to this shard (route with
+// ScatterBatch). Inserting a present edge and deleting an absent one are
+// no-ops.
+func (s Shard) Apply(op Op, src, dst []uint32) {
+	o := &ops[op]
+	validateBatch(o.name, src, dst)
+	s.g.applyBatchShard(s.sh, o, src, dst, s.g.shardWorkers())
 }
 
 // SnapshotInto flattens the shard into a local CSR view — offsets indexed
@@ -192,7 +183,7 @@ func (g *Graph) ScatterBatchWith(pm *PartitionMap, src, dst []uint32) (parts []S
 		return parts, 0
 	}
 	p := g.workers()
-	if n < parPrepMin || p <= 1 {
+	if n < batch.ParallelMin || p <= 1 {
 		return g.scatterSeq(pm, src, dst, parts)
 	}
 

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"lsgraph/internal/batch"
 	"lsgraph/internal/gen"
 	"lsgraph/internal/refgraph"
 )
@@ -49,7 +50,7 @@ func TestShardOfCoversVertexSpace(t *testing.T) {
 }
 
 func TestScatterBatchRoutesBySource(t *testing.T) {
-	for _, n := range []int{0, 1, 100, 3 * parPrepMin} {
+	for _, n := range []int{0, 1, 100, 3 * batch.ParallelMin} {
 		g := New(1<<12, Config{Shards: 4, Workers: 8})
 		rng := rand.New(rand.NewSource(int64(n)))
 		src := make([]uint32, n)
@@ -226,7 +227,7 @@ func TestComposeSnapshotsUnevenShards(t *testing.T) {
 // queued parts) must never alter a sibling part, on both the sequential
 // and the parallel scatter paths.
 func TestScatterBatchRetainedPartAppend(t *testing.T) {
-	for _, n := range []int{64, 3 * parPrepMin} {
+	for _, n := range []int{64, 3 * batch.ParallelMin} {
 		g := New(1<<12, Config{Shards: 4, Workers: 8})
 		rng := rand.New(rand.NewSource(int64(n)))
 		src := make([]uint32, n)

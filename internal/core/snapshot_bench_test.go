@@ -70,11 +70,8 @@ func BenchmarkShardPublishAfterBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		if bt := batches[(i/2)%len(batches)]; i%2 == 0 {
-			sh.InsertBatch(bt.Src, bt.Dst)
-		} else {
-			sh.DeleteBatch(bt.Src, bt.Dst)
-		}
+		bt := batches[(i/2)%len(batches)]
+		sh.Apply(Op(i%2), bt.Src, bt.Dst) // alternate OpInsert, OpDelete
 		b.StartTimer()
 		cur, spare = sh.SnapshotInto(spare), cur
 	}

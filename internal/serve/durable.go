@@ -63,14 +63,6 @@ type durability struct {
 	segsGCed    atomic.Uint64
 }
 
-// walOp maps a queue op to its WAL record op.
-func walOp(op int) uint8 {
-	if op == opDelete {
-		return wal.OpDelete
-	}
-	return wal.OpInsert
-}
-
 // OpenDurable opens (creating or recovering) a durable Store over a fresh
 // core.Graph of at least n vertices. Recovery loads the newest valid
 // checkpoint, bulk-inserts its per-shard CSRs, replays WAL records past
@@ -115,11 +107,7 @@ func OpenDurable(n uint32, cfg core.Config, opt Options, dopt DurabilityOptions)
 		return 0
 	}
 	maxLSN, rst, err := wal.Replay(dopt.Dir, wmOf, dopt.Hook, func(r wal.Record) error {
-		if r.Op == wal.OpDelete {
-			s.DeleteBatch(r.Src, r.Dst)
-		} else {
-			s.InsertBatch(r.Src, r.Dst)
-		}
+		s.enqueue(core.Op(r.Op), r.Src, r.Dst)
 		return nil
 	})
 	if err != nil {

@@ -243,3 +243,16 @@ func TestCheckpointOnNonDurableStore(t *testing.T) {
 		t.Fatal("in-memory store claims durability")
 	}
 }
+
+// TestUpdateOpsAreWALOps pins the identity logging and replay rely on: a
+// queue entry's core.Op is written as the WAL record's op byte, and a
+// replayed record's op byte is enqueued as the core.Op, with no mapping.
+func TestUpdateOpsAreWALOps(t *testing.T) {
+	if uint8(core.OpInsert) != wal.OpInsert || uint8(core.OpDelete) != wal.OpDelete {
+		t.Fatalf("core ops (%d,%d) differ from WAL ops (%d,%d)",
+			core.OpInsert, core.OpDelete, wal.OpInsert, wal.OpDelete)
+	}
+	if opFlush <= core.OpDelete {
+		t.Fatalf("control op %d collides with an update op", opFlush)
+	}
+}

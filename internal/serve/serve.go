@@ -123,15 +123,14 @@ func (o *Options) sanitize() {
 	}
 }
 
-// Batch ops queued for a shard writer. opFlush is a sentinel whose
-// position in the queue marks a Flush call's happens-after point.
-// opRebalance is a control entry appended to both shard writers affected
-// by a boundary move; it marks the queue position at which the shard's
-// routing changes (see rebalance.go).
+// Control ops queued for a shard writer, numbered after the update ops
+// (core.OpInsert, core.OpDelete) that update entries carry. opFlush is a
+// sentinel whose position in the queue marks a Flush call's happens-after
+// point. opRebalance is a control entry appended to both shard writers
+// affected by a boundary move; it marks the queue position at which the
+// shard's routing changes (see rebalance.go).
 const (
-	opInsert = iota
-	opDelete
-	opFlush
+	opFlush = core.OpDelete + 1 + iota
 	opRebalance
 )
 
@@ -141,7 +140,7 @@ const (
 // size the batch requires (1 + max referenced ID); the writer ensures it
 // before applying.
 type pending struct {
-	op       int
+	op       core.Op
 	src, dst []uint32
 	bound    uint32
 	batch    uint64        // flight-recorder batch ID (0 when tracing is off)
@@ -342,15 +341,15 @@ func (s *Store) Shards() int { return len(s.ws) }
 // insertion and returns without waiting for them to apply. The slices are
 // copied; the caller may reuse them immediately. Call Flush to wait for
 // the batch to become visible to readers.
-func (s *Store) InsertBatch(src, dst []uint32) { s.enqueue(opInsert, src, dst) }
+func (s *Store) InsertBatch(src, dst []uint32) { s.enqueue(core.OpInsert, src, dst) }
 
 // DeleteBatch enqueues the directed edges for deletion, with the same
 // asynchronous contract as InsertBatch. Enqueue order is preserved per
 // shard, so an insert followed by a delete of the same edge leaves it
 // absent (the two land in the same shard's queue: routing is by source).
-func (s *Store) DeleteBatch(src, dst []uint32) { s.enqueue(opDelete, src, dst) }
+func (s *Store) DeleteBatch(src, dst []uint32) { s.enqueue(core.OpDelete, src, dst) }
 
-func (s *Store) enqueue(op int, src, dst []uint32) {
+func (s *Store) enqueue(op core.Op, src, dst []uint32) {
 	if len(src) != len(dst) {
 		panic(fmt.Sprintf("serve: src/dst length mismatch (%d vs %d); every edge needs both endpoints",
 			len(src), len(dst)))
@@ -453,7 +452,7 @@ func shardSkewPct(parts []core.SubBatch) int64 {
 
 // enqueue adds an owned batch to this shard's queue, merging under
 // backpressure.
-func (w *shardWriter) enqueue(op int, src, dst []uint32, bound uint32, batch uint64, enq int64) {
+func (w *shardWriter) enqueue(op core.Op, src, dst []uint32, bound uint32, batch uint64, enq int64) {
 	w.mu.Lock()
 	if w.closed {
 		w.mu.Unlock()
@@ -466,11 +465,12 @@ func (w *shardWriter) enqueue(op int, src, dst []uint32, bound uint32, batch uin
 	// between and stall-free dequeues continue meanwhile). An append
 	// error (disk full, injected crash) does not fail the enqueue: the
 	// store keeps serving in memory and surfaces degraded durability
-	// through Stats.WALAppendErrors.
+	// through Stats.WALAppendErrors. The record's op byte is the core.Op
+	// itself (TestUpdateOpsAreWALOps), so replay re-enqueues it unchanged.
 	var lsn uint64
 	var app wal.Appender
 	if d := w.s.dur; d != nil && d.log != nil {
-		app = d.log.Begin(w.idx, walOp(op), batch, src, dst)
+		app = d.log.Begin(w.idx, uint8(op), batch, src, dst)
 		lsn = app.LSN()
 		d.sinceCkpt.Add(1)
 	}
@@ -631,7 +631,7 @@ func (w *shardWriter) run() {
 		first := 0 // q[first:i] are applied but not yet published
 		for i := range q {
 			b := &q[i]
-			if b.op == opInsert || b.op == opDelete {
+			if b.op < opFlush { // an update entry
 				w.apply(b)
 				continue
 			}
@@ -667,11 +667,7 @@ func (w *shardWriter) apply(b *pending) {
 		w.shard.EnsureVertices(b.bound)
 	}
 	w.shard.BeginTrace(b.batch)
-	if b.op == opInsert {
-		w.shard.InsertBatch(b.src, b.dst)
-	} else {
-		w.shard.DeleteBatch(b.src, b.dst)
-	}
+	w.shard.Apply(b.op, b.src, b.dst)
 	w.s.stats.batchesApplied.Add(1)
 	if obs.Enabled() {
 		obsApplied.Inc()

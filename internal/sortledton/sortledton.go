@@ -9,6 +9,7 @@ package sortledton
 import (
 	"sync/atomic"
 
+	"lsgraph/internal/batch"
 	"lsgraph/internal/parallel"
 	"lsgraph/internal/skiplist"
 )
@@ -34,6 +35,7 @@ type Graph struct {
 	verts   []vertex
 	m       atomic.Uint64
 	workers int
+	prep    batch.Scratch
 }
 
 // New returns an empty engine with n vertex slots.
@@ -152,37 +154,13 @@ func (g *Graph) applyBatch(src, dst []uint32, ins bool) {
 	if len(src) == 0 {
 		return
 	}
-	ks := make([]uint64, len(src))
-	for i := range src {
-		ks[i] = uint64(src[i])<<32 | uint64(dst[i])
-	}
-	parallel.SortUint64(ks, g.workers)
-	w := 0
-	for i, k := range ks {
-		if i > 0 && k == ks[i-1] {
-			continue
-		}
-		ks[w] = k
-		w++
-	}
-	ks = ks[:w]
-	type group struct{ lo, hi int }
-	var groups []group
-	for i := 0; i < len(ks); {
-		v := uint32(ks[i] >> 32)
-		j := i
-		for j < len(ks) && uint32(ks[j]>>32) == v {
-			j++
-		}
-		groups = append(groups, group{lo: i, hi: j})
-		i = j
-	}
+	ks, groups := g.prep.Prepare(src, dst, g.NumVertices(), g.workers)
 	var delta atomic.Int64
 	parallel.ForBlocked(len(groups), g.workers, func(gi int) {
 		gr := groups[gi]
-		v := uint32(ks[gr.lo] >> 32)
+		v := gr.V
 		var d int64
-		for i := gr.lo; i < gr.hi; i++ {
+		for i := gr.Lo; i < gr.Hi; i++ {
 			u := uint32(ks[i])
 			if ins {
 				if g.insertOne(v, u) {

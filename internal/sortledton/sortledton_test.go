@@ -87,7 +87,7 @@ func TestVectorToSkipListPromotion(t *testing.T) {
 // TestUntilStops checks that a false yield stops NeighborBlocks on both a
 // vector vertex and a skip-list vertex, mid-way through its blocks.
 func TestUntilStops(t *testing.T) {
-	g := New(64, 1)
+	g := New(512, 1) // covers the destinations below 500
 	src := []uint32{3, 3, 3}
 	dst := []uint32{10, 20, 30}
 	for u := uint32(100); u < 500; u++ {

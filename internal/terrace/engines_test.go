@@ -6,14 +6,18 @@
 package terrace_test
 
 import (
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
 	"lsgraph/internal/aspen"
+	"lsgraph/internal/batch"
 	"lsgraph/internal/core"
 	"lsgraph/internal/engine"
 	"lsgraph/internal/gen"
 	"lsgraph/internal/pactree"
+	"lsgraph/internal/parallel"
 	"lsgraph/internal/refgraph"
 	"lsgraph/internal/sortledton"
 	"lsgraph/internal/terrace"
@@ -104,6 +108,44 @@ func TestAllEnginesMatchOracleOnBatches(t *testing.T) {
 	}
 	for _, e := range es {
 		checkEngine(t, e, ref)
+	}
+}
+
+// TestAllEnginesOutOfRangePanicRecoverable checks that every engine
+// rejects an edge with an endpoint outside its vertex space by a panic on
+// the caller's goroutine, where recover catches it, even when the edge
+// sits deep in a batch large enough that packing runs on worker
+// goroutines.
+func TestAllEnginesOutOfRangePanicRecoverable(t *testing.T) {
+	prev := parallel.Procs
+	parallel.Procs = 4
+	defer func() { parallel.Procs = prev }()
+	const n = 64
+	m := 3 * batch.ParallelMin
+	for _, bad := range []struct{ src, dst uint32 }{{777, 5}, {5, 777}} {
+		src := make([]uint32, m)
+		dst := make([]uint32, m)
+		for i := range src {
+			src[i], dst[i] = uint32(i%n), uint32(i*7%n)
+		}
+		src[m-3], dst[m-3] = bad.src, bad.dst
+		want := fmt.Sprintf("edge (%d,%d)", bad.src, bad.dst)
+		for _, e := range engines(n, 0) {
+			for _, op := range []struct {
+				name string
+				f    func(src, dst []uint32)
+			}{{"InsertBatch", e.InsertBatch}, {"DeleteBatch", e.DeleteBatch}} {
+				func() {
+					defer func() {
+						msg, _ := recover().(string)
+						if !strings.Contains(msg, want) {
+							t.Fatalf("%s.%s: panic %q, want one naming %s", e.Name(), op.name, msg, want)
+						}
+					}()
+					op.f(src, dst)
+				}()
+			}
+		}
 	}
 }
 

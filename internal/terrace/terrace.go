@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"lsgraph/internal/batch"
 	"lsgraph/internal/btree"
 	"lsgraph/internal/parallel"
 	"lsgraph/internal/pma"
@@ -108,6 +109,7 @@ type Graph struct {
 	shards  []shard
 	m       atomic.Uint64
 	workers int
+	prep    batch.Scratch
 	// Instrument enables the per-call timers of Stats.
 	Instrument bool
 	Stats      Stats
@@ -399,42 +401,17 @@ func (g *Graph) applyBatch(src, dst []uint32, insert bool) {
 	if len(src) == 0 {
 		return
 	}
-	ks := make([]uint64, len(src))
-	for i := range src {
-		ks[i] = key(src[i], dst[i])
-	}
-	parallel.SortUint64(ks, g.workers)
-	w := 0
-	for i, k := range ks {
-		if i > 0 && k == ks[i-1] {
-			continue
-		}
-		ks[w] = k
-		w++
-	}
-	ks = ks[:w]
+	ks, groups := g.prep.Prepare(src, dst, g.NumVertices(), g.workers)
 	if insert && g.m.Load() == 0 {
-		g.bulkLoad(ks)
+		g.bulkLoad(ks, groups)
 		return
-	}
-	// Group by source vertex.
-	type group struct{ lo, hi int }
-	var groups []group
-	for i := 0; i < len(ks); {
-		v := uint32(ks[i] >> 32)
-		j := i
-		for j < len(ks) && uint32(ks[j]>>32) == v {
-			j++
-		}
-		groups = append(groups, group{lo: i, hi: j})
-		i = j
 	}
 	var delta atomic.Int64
 	parallel.ForBlocked(len(groups), g.workers, func(gi int) {
 		gr := groups[gi]
 		var d int64
-		for i := gr.lo; i < gr.hi; i++ {
-			v, u := uint32(ks[i]>>32), uint32(ks[i])
+		for i := gr.Lo; i < gr.Hi; i++ {
+			v, u := gr.V, uint32(ks[i])
 			if insert {
 				if g.insertOne(v, u) {
 					d++
@@ -451,18 +428,15 @@ func (g *Graph) applyBatch(src, dst []uint32, insert bool) {
 }
 
 // bulkLoad populates an empty engine from sorted, deduplicated packed
-// keys: inline slots take each vertex's smallest neighbors, high-degree
-// overflow goes straight to B-trees, and each shard's medium-degree
-// overflow is built with one PMA bulk load. Real Terrace likewise
-// initializes its PMA in bulk rather than edge-at-a-time.
-func (g *Graph) bulkLoad(ks []uint64) {
+// keys and their per-vertex groups: inline slots take each vertex's
+// smallest neighbors, high-degree overflow goes straight to B-trees, and
+// each shard's medium-degree overflow is built with one PMA bulk load.
+// Real Terrace likewise initializes its PMA in bulk rather than
+// edge-at-a-time.
+func (g *Graph) bulkLoad(ks []uint64, groups []batch.Group) {
 	shardKeys := make([][]uint64, len(g.shards))
-	for i := 0; i < len(ks); {
-		v := uint32(ks[i] >> 32)
-		j := i
-		for j < len(ks) && uint32(ks[j]>>32) == v {
-			j++
-		}
+	for _, gr := range groups {
+		v, i, j := gr.V, gr.Lo, gr.Hi
 		vb := &g.verts[v]
 		deg := j - i
 		vb.deg = uint32(deg)
@@ -485,7 +459,6 @@ func (g *Graph) bulkLoad(ks []uint64) {
 				shardKeys[si] = append(shardKeys[si], ks[i+inlineCap:j]...)
 			}
 		}
-		i = j
 	}
 	parallel.ForBlocked(len(g.shards), g.workers, func(si int) {
 		if len(shardKeys[si]) > 0 {

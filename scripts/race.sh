@@ -1,10 +1,13 @@
 #!/bin/sh
 # race.sh -- the single source of truth for the race-detector package list:
 # every package with real cross-goroutine traffic (the sharded serving
-# layer, the per-shard WAL with its group-commit goroutine, the batch
-# pipeline, the worker pool, the sharded metrics registry, and Terrace's
-# concurrent block reads over pooled PMA decode scratch). Both `make race`
-# and scripts/verify.sh run this script, so the list cannot drift between
+# layer, the per-shard WAL with its group-commit goroutine, the core
+# update pipeline, the worker pool, the sharded metrics registry, and
+# Terrace's concurrent block reads over pooled PMA decode scratch), plus
+# internal/batch and the Aspen, PaC-tree and Sortledton baselines, which
+# run the shared parallel pack and dedup/group of internal/batch on
+# worker goroutines writing one reused arena. Both `make race` and
+# scripts/verify.sh run this script, so the list cannot drift between
 # them.
 #
 # Usage: scripts/race.sh [extra go-test flags...]
@@ -24,4 +27,8 @@ go test -race "$@" \
 	lsgraph/internal/gen \
 	lsgraph/internal/httpserve \
 	lsgraph/internal/terrace \
+	lsgraph/internal/batch \
+	lsgraph/internal/aspen \
+	lsgraph/internal/pactree \
+	lsgraph/internal/sortledton \
 	lsgraph
